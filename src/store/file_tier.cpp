@@ -1,16 +1,9 @@
 #include "store/file_tier.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace fs = std::filesystem;
@@ -18,17 +11,6 @@ namespace fs = std::filesystem;
 namespace tiera {
 
 namespace {
-
-// Dead-record accounting mirrors the log's framing: header + key + value.
-constexpr std::uint64_t kLogRecordHeader = 4 + 1 + 4 + 4;
-
-std::uint64_t record_bytes(std::size_t key_len, std::size_t value_len) {
-  return kLogRecordHeader + key_len + value_len;
-}
-
-// Compact once the log passes this size with mostly dead bytes.
-constexpr std::uint64_t kCompactMinBytes = 8ull << 20;
-constexpr double kCompactDeadRatio = 0.5;
 
 // RAM-copy latency for a modelled page-cache hit.
 LatencyModel cache_hit_model() {
@@ -39,6 +21,10 @@ LatencyModel cache_hit_model() {
           .jitter = 0.10};
 }
 
+Status log_unavailable(const std::string& tier) {
+  return Status::Internal(tier + ": segment log unavailable");
+}
+
 }  // namespace
 
 FileTier::FileTier(std::string name, TierKind kind,
@@ -46,54 +32,32 @@ FileTier::FileTier(std::string name, TierKind kind,
                    LatencyModel latency, TierPricing pricing)
     : Tier(std::move(name), kind, capacity_bytes, latency, pricing),
       directory_(std::move(directory)) {
-  std::error_code ec;
-  fs::create_directories(directory_, ec);
-  open_log();
-  migrate_legacy_files();
-  std::uint64_t total = 0;
-  for (const auto& [key, loc] : index_) total += loc.length;
-  reset_usage();
-  add_reloaded_usage(total);
-  if (!index_.empty()) {
-    TIERA_LOG(kInfo, "store") << this->name() << " reloaded " << index_.size()
-                              << " objects (" << total << " bytes) from "
-                              << directory_;
-  }
-}
-
-void FileTier::open_log() {
-  auto log = SegmentLog::open(
-      directory_, SegmentLogOptions{},
-      [this](std::string_view key, bool live, const LogLocation& loc) {
-        auto it = index_.find(std::string(key));
-        if (it != index_.end()) {
-          dead_bytes_ += record_bytes(key.size(), it->second.length);
-          if (!live) {
-            // Tombstone: the record itself is dead weight too.
-            dead_bytes_ += record_bytes(key.size(), 0);
-            index_.erase(it);
-            return;
-          }
-          it->second = loc;
-        } else if (live) {
-          index_.emplace(std::string(key), loc);
-        } else {
-          dead_bytes_ += record_bytes(key.size(), 0);
-        }
-      });
+  auto log = SegmentLog::open(directory_);
   if (!log.ok()) {
-    TIERA_LOG(kError, "store") << name() << " segment log open failed: "
+    TIERA_LOG(kError, "store") << this->name() << " segment log open failed: "
                                << log.status().to_string();
     return;
   }
   log_ = std::move(log).value();
+  migrate_legacy_files();
+  std::uint64_t total = 0;
+  log_->for_each([&](std::string_view, std::uint32_t length) {
+    total += length;
+    return true;
+  });
+  reset_usage();
+  add_reloaded_usage(total);
+  if (log_->size() > 0) {
+    TIERA_LOG(kInfo, "store") << this->name() << " reloaded " << log_->size()
+                              << " objects (" << total << " bytes) from "
+                              << directory_;
+  }
 }
 
 // One-time import of directories written by the old one-file-per-object
 // format (filename = hex key, or hex prefix + sha when too long): append
 // each file's bytes to the log, then remove the file.
 void FileTier::migrate_legacy_files() {
-  if (!log_) return;
   std::error_code ec;
   std::size_t migrated = 0;
   for (const auto& entry : fs::directory_iterator(directory_, ec)) {
@@ -124,15 +88,7 @@ void FileTier::migrate_legacy_files() {
     Bytes value((std::istreambuf_iterator<char>(in)),
                 std::istreambuf_iterator<char>());
     if (!in && !in.eof()) continue;
-    auto loc = log_->append(key, as_view(value));
-    if (!loc.ok()) continue;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      dead_bytes_ += record_bytes(key.size(), it->second.length);
-      it->second = *loc;
-    } else {
-      index_.emplace(std::move(key), *loc);
-    }
+    if (!log_->put(key, as_view(value)).ok()) continue;
     fs::remove(entry.path(), ec);
     ++migrated;
   }
@@ -143,127 +99,48 @@ void FileTier::migrate_legacy_files() {
 }
 
 Status FileTier::store_raw(std::string_view key, ByteView value) {
-  if (!log_) return Status::Internal(name() + ": segment log unavailable");
-  std::lock_guard lock(index_mu_);
-  auto loc = log_->append(key, value);
-  if (!loc.ok()) return loc.status();
-  auto it = index_.find(std::string(key));
-  if (it != index_.end()) {
-    dead_bytes_ += record_bytes(key.size(), it->second.length);
-    it->second = *loc;
-  } else {
-    index_.emplace(std::string(key), *loc);
-  }
-  return maybe_compact_locked();
-}
-
-// >= not >: after one full overwrite generation the log is exactly half
-// dead, and a strict compare would stall compaction right at the boundary
-// while every further generation keeps appending.
-Status FileTier::maybe_compact_locked() {
-  if (!log_) return Status::Ok();
-  if (log_->log_bytes() >= kCompactMinBytes &&
-      static_cast<double>(dead_bytes_) >=
-          kCompactDeadRatio * static_cast<double>(log_->log_bytes())) {
-    return compact_locked();
-  }
-  return Status::Ok();
+  if (!log_) return log_unavailable(name());
+  return log_->put(key, value);
 }
 
 Result<Bytes> FileTier::load_raw(std::string_view key) const {
-  // The location is fetched under the index lock but the pread runs outside
-  // it; a compaction can relocate the value in between (its old segment
-  // disappears), so retry with a fresh location rather than surfacing a
-  // spurious miss.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    LogLocation loc;
-    {
-      std::lock_guard lock(index_mu_);
-      auto it = index_.find(std::string(key));
-      if (it == index_.end()) {
-        return Status::NotFound(name() + ": no such object");
-      }
-      loc = it->second;
-    }
-    if (!log_) return Status::Internal(name() + ": segment log unavailable");
-    auto value = log_->read(loc);
-    if (value.ok() || value.status().code() != StatusCode::kNotFound) {
-      return value;
-    }
-  }
-  return Status::Internal(name() + ": object relocated repeatedly");
+  if (!log_) return log_unavailable(name());
+  return log_->get(key);
 }
 
 Status FileTier::erase_raw(std::string_view key) {
-  if (!log_) return Status::Internal(name() + ": segment log unavailable");
-  std::lock_guard lock(index_mu_);
-  auto it = index_.find(std::string(key));
-  if (it == index_.end()) return Status::Ok();
-  dead_bytes_ += record_bytes(key.size(), it->second.length);
-  dead_bytes_ += record_bytes(key.size(), 0);  // the tombstone itself
-  index_.erase(it);
-  TIERA_RETURN_IF_ERROR(log_->append_tombstone(key));
-  // Erase-heavy churn (exclusive caching demotes/promotes) adds dead bytes
-  // without ever passing through store_raw, so check the trigger here too.
-  return maybe_compact_locked();
+  if (!log_) return log_unavailable(name());
+  const Status status = log_->erase(key);
+  return status.is_not_found() ? Status::Ok() : status;
 }
 
 bool FileTier::contains_raw(std::string_view key) const {
-  std::lock_guard lock(index_mu_);
-  return index_.count(std::string(key)) > 0;
+  return size_raw(key).has_value();
 }
 
 std::optional<std::uint64_t> FileTier::size_raw(std::string_view key) const {
-  std::lock_guard lock(index_mu_);
-  auto it = index_.find(std::string(key));
-  if (it == index_.end()) return std::nullopt;
-  return it->second.length;
+  if (!log_) return std::nullopt;
+  return log_->value_size(key);
 }
 
-std::size_t FileTier::count_raw() const {
-  std::lock_guard lock(index_mu_);
-  return index_.size();
-}
+std::size_t FileTier::count_raw() const { return log_ ? log_->size() : 0; }
 
 void FileTier::keys_raw(
     const std::function<void(std::string_view)>& fn) const {
-  std::lock_guard lock(index_mu_);
-  for (const auto& [key, loc] : index_) fn(key);
+  if (!log_) return;
+  log_->for_each([&](std::string_view key, std::uint32_t) {
+    fn(key);
+    return true;
+  });
 }
 
 void FileTier::wipe() {
-  std::lock_guard lock(index_mu_);
   if (log_) (void)log_->wipe();
-  index_.clear();
-  dead_bytes_ = 0;
   reset_usage();
 }
 
 std::uint64_t FileTier::log_bytes() const {
   return log_ ? log_->log_bytes() : 0;
-}
-
-std::uint64_t FileTier::dead_log_bytes() const {
-  std::lock_guard lock(index_mu_);
-  return dead_bytes_;
-}
-
-Status FileTier::compact_log() {
-  std::lock_guard lock(index_mu_);
-  return compact_locked();
-}
-
-Status FileTier::compact_locked() {
-  if (!log_) return Status::Internal(name() + ": segment log unavailable");
-  TIERA_RETURN_IF_ERROR(log_->compact(
-      [this](const SegmentLog::LiveVisitor& visit) {
-        for (const auto& [key, loc] : index_) visit(key, loc);
-      },
-      [this](std::string_view key, const LogLocation& loc) {
-        index_[std::string(key)] = loc;
-      }));
-  dead_bytes_ = 0;
-  return Status::Ok();
 }
 
 // --- BlockTier --------------------------------------------------------------

@@ -1,12 +1,14 @@
 // File-backed tiers: the EBS-like block store and the S3-like object store.
 //
-// Objects live in an append-only segment log under the tier directory
-// (store/segment_log.h) and are mirrored in a RAM index of key -> location;
-// on open the log is replayed, so contents survive process restarts — the
-// durability property that distinguishes these tiers from memory/ephemeral
-// ones. Overwrites and deletes leave dead records behind; the tier compacts
-// the log once dead bytes dominate. Directories written by the old
-// one-file-per-object format are migrated into the log on open.
+// Each tier is a thin client of one SegmentLog (store/segment_log.h) under
+// the tier directory: the log owns the key index, the dead-byte count and
+// compaction, and replays itself on open, so contents survive process
+// restarts — the durability property that distinguishes these tiers from
+// memory/ephemeral ones. Tier logs never fsync on the hot path (the paper's
+// durability story for tier contents is the tier hierarchy itself) and
+// compact once they pass 8 MiB with half their bytes dead. Directories
+// written by the old one-file-per-object format are migrated into the log
+// on open.
 //
 // BlockTier optionally models the instance's OS buffer cache: a bounded LRU
 // of recently touched objects whose hits are charged memory-like latency
@@ -35,10 +37,8 @@ class FileTier : public Tier {
   // Drop every stored object (used by tests and by EphemeralTier::reboot).
   void wipe();
 
-  // Segment-log footprint, live + dead record bytes. Exposed for tests.
+  // Segment-log footprint, live + dead record bytes.
   std::uint64_t log_bytes() const;
-  std::uint64_t dead_log_bytes() const;
-  Status compact_log();
 
  protected:
   Status store_raw(std::string_view key, ByteView value) override;
@@ -51,18 +51,10 @@ class FileTier : public Tier {
       const std::function<void(std::string_view)>& fn) const override;
 
  private:
-  void open_log();
   void migrate_legacy_files();
-  Status compact_locked();        // requires index_mu_ held
-  Status maybe_compact_locked();  // requires index_mu_ held
 
   const std::string directory_;
-  std::unique_ptr<SegmentLog> log_;
-  // key -> value location in the log; guarded by index_mu_. Writers hold
-  // the lock across append + index update so log order matches index order.
-  mutable std::mutex index_mu_;
-  std::unordered_map<std::string, LogLocation> index_;
-  std::uint64_t dead_bytes_ = 0;
+  std::unique_ptr<SegmentLog> log_;  // null if the log failed to open
 };
 
 class BlockTier final : public FileTier {

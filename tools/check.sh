@@ -7,7 +7,9 @@
 # context-carrying thread pool, and the control layer's response pool —
 # plus the epoll-reactor, group-commit and segment-log suites (event loops,
 # per-core shards and the coalesced journal are the most race-prone code in
-# the tree) under TSan. Any data race fails the script.
+# the tree) and the MetaDb and file-tier suites (both sit on the segment
+# log's locking and group committer) under TSan. Any data race fails the
+# script.
 #
 #   $ tools/check.sh            # default: obs/core/common tests
 #   $ tools/check.sh -R regex   # pass an explicit ctest filter instead
@@ -21,7 +23,7 @@ build_dir="${repo_root}/build-tsan"
 # under TSan's ~10x slowdown on small machines — timing, not races. The gate
 # skips them; their concurrency surface stays covered by obs_slo_test and
 # the core concurrency suites.
-filter=(-R '^(obs_|core_|common_)|^(net_reactor_test|net_rpc_test|net_incident_integration_test|metadb_group_commit_test|store_segment_log_test)$' -E '^(core_templates_test|core_slo_integration_test)$')
+filter=(-R '^(obs_|core_|common_)|^(net_reactor_test|net_rpc_test|net_incident_integration_test|metadb_group_commit_test|metadb_metadb_test|store_segment_log_test|store_tier_test)$' -E '^(core_templates_test|core_slo_integration_test)$')
 if [[ $# -gt 0 ]]; then
   filter=("$@")
 fi
