@@ -110,10 +110,15 @@ std::string_view AdmissionController::resolve_tenant(std::string_view tenant) {
     Stripe& stripe = stripe_for(tenant);
     std::lock_guard<std::mutex> lock(stripe.mu);
     if (stripe.tenants.count(std::string(tenant)) != 0) return tenant;
-    if (tenant_count_.load(std::memory_order_relaxed) < config_.max_tenants) {
-      stripe.tenants.emplace(std::string(tenant), TenantState{});
-      tenant_count_.fetch_add(1, std::memory_order_relaxed);
-      return tenant;
+    // Reserve the slot before inserting: tenants on other stripes race for
+    // the same count, and a plain check-then-add lets them overshoot it.
+    std::size_t count = tenant_count_.load(std::memory_order_relaxed);
+    while (count < config_.max_tenants) {
+      if (tenant_count_.compare_exchange_weak(count, count + 1,
+                                              std::memory_order_relaxed)) {
+        stripe.tenants.emplace(std::string(tenant), TenantState{});
+        return tenant;
+      }
     }
   }
   // Map is full: this tenant shares the overflow bucket (and its metric

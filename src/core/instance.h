@@ -258,6 +258,13 @@ class TieraInstance {
                           const std::vector<std::string>& from_tiers,
                           bool remove_sources, EventContext* ctx);
 
+  // Under the object's stripe, after an overwrite first stored its bytes
+  // (under `storage_key`) into `written`: removes the previous bytes
+  // everywhere else, and from `written` too when the key changed.
+  void drop_stale_locations_locked(const ObjectMeta& previous,
+                                   const std::string& storage_key,
+                                   const std::vector<std::string>& written);
+
   // True when another object still references this (dedup'd) content in the
   // given tier, so the bytes must stay although `meta.id` is leaving.
   bool content_needed_in_tier(const ObjectMeta& meta,

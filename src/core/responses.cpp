@@ -1,5 +1,6 @@
 #include "core/responses.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -247,6 +248,12 @@ Status ConditionalResponse::execute(EventContext& ctx) {
     if (ctx.mutations == mutations_before) return last;
   }
   return last;
+}
+
+bool ConditionalResponse::checks_fit() const {
+  if (condition_.kind == Condition::Kind::kTierCannotFit) return true;
+  return std::any_of(body_.begin(), body_.end(),
+                     [](const ResponsePtr& r) { return r->checks_fit(); });
 }
 
 std::string ConditionalResponse::describe() const {

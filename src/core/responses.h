@@ -229,6 +229,7 @@ class ConditionalResponse final : public Response {
         max_iterations_(max_iterations) {}
   Status execute(EventContext& ctx) override;
   std::string describe() const override;
+  bool checks_fit() const override;
 
  private:
   Condition condition_;

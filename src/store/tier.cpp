@@ -170,20 +170,33 @@ Status Tier::put(std::string_view key, ByteView value) {
     apply_model_delay(sample_write_delay(key, value.size(), t_jitter_rng));
   }
 
-  // Capacity accounting: replace-aware. A races here can transiently
-  // over/under count by one object; the control layer's threshold events
-  // tolerate that (they fire on the next mutation).
+  // Capacity accounting: replace-aware. Growth is reserved with a
+  // compare-and-swap before the write, so concurrent puts of different keys
+  // can never together push usage past capacity. (Concurrent writers of the
+  // same key are serialized by the instance's object stripes.)
   const std::optional<std::uint64_t> old_size = size_raw(key);
   const std::uint64_t delta_new = value.size();
   const std::uint64_t delta_old = old_size.value_or(0);
-  const std::uint64_t cap = capacity();
-  if (cap > 0 && used() - delta_old + delta_new > cap) {
-    stats_.failed_ops.fetch_add(1, std::memory_order_relaxed);
-    return Status::CapacityExceeded(name_ + " full");
+  const std::uint64_t growth = delta_new > delta_old ? delta_new - delta_old : 0;
+  if (growth > 0) {
+    const std::uint64_t cap = capacity();
+    std::uint64_t cur = used_.load(std::memory_order_relaxed);
+    do {
+      if (cap > 0 && cur + growth > cap) {
+        stats_.failed_ops.fetch_add(1, std::memory_order_relaxed);
+        return Status::CapacityExceeded(name_ + " full");
+      }
+    } while (!used_.compare_exchange_weak(cur, cur + growth,
+                                          std::memory_order_relaxed));
   }
-  TIERA_RETURN_IF_ERROR(store_raw(key, value));
-  used_.fetch_add(delta_new, std::memory_order_relaxed);
-  used_.fetch_sub(delta_old, std::memory_order_relaxed);
+  const Status stored = store_raw(key, value);
+  if (!stored.ok()) {
+    used_.fetch_sub(growth, std::memory_order_relaxed);
+    return stored;
+  }
+  if (growth == 0) {
+    used_.fetch_sub(delta_old - delta_new, std::memory_order_relaxed);
+  }
   stats_.puts.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_written.fetch_add(value.size(), std::memory_order_relaxed);
   if (timed) metrics_.put_latency->record(now() - start);
