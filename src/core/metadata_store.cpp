@@ -27,7 +27,7 @@ const MetadataStore::Shard& MetadataStore::shard_for(
 Status MetadataStore::recover() {
   if (!db_) return Status::Ok();
   Status status = Status::Ok();
-  db_->scan_prefix(kDbPrefix, [&](std::string_view key, ByteView value) {
+  const auto load = [&](std::string_view key, ByteView value) {
     (void)key;
     Result<ObjectMeta> meta = ObjectMeta::decode(value);
     if (!meta.ok()) {
@@ -49,7 +49,10 @@ Status MetadataStore::recover() {
       add_content_ref(meta->content_hash, meta->id);
     }
     return true;
-  });
+  };
+  // A scan that stops on a failed read must fail the open: recovering only
+  // part of the metadata would lose objects without a word.
+  TIERA_RETURN_IF_ERROR(db_->scan_prefix(kDbPrefix, load));
   return status;
 }
 
@@ -160,6 +163,17 @@ void MetadataStore::touch_in_tier(std::string_view tier, std::string_view id) {
     lru.order.emplace_front(id);
     lru.pos[std::string(id)] = lru.order.begin();
   }
+}
+
+void MetadataStore::bump_in_tier(std::string_view tier, std::string_view id) {
+  StageTimer stage(Stage::kMetadataLookup);
+  std::lock_guard lock(lru_mu_);
+  auto lit = tier_lru_.find(std::string(tier));
+  if (lit == tier_lru_.end()) return;
+  auto it = lit->second.pos.find(std::string(id));
+  if (it == lit->second.pos.end()) return;
+  lit->second.order.splice(lit->second.order.begin(), lit->second.order,
+                           it->second);
 }
 
 void MetadataStore::remove_from_tier(std::string_view tier,

@@ -66,6 +66,11 @@ class MetadataStore {
   // Record that `id` was inserted into or accessed in `tier` (moves to the
   // most-recent end).
   void touch_in_tier(std::string_view tier, std::string_view id);
+  // Moves `id` to the most-recent end of `tier` only if it is listed there.
+  // Reads use this: they run outside the object's stripe, so a move out of
+  // the tier may land between the read and the bump, and re-adding the
+  // entry then would leave an LRU victim that eviction can never move.
+  void bump_in_tier(std::string_view tier, std::string_view id);
   void remove_from_tier(std::string_view tier, std::string_view id);
   void drop_tier(std::string_view tier);
 

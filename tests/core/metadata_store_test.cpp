@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "test_util.h"
@@ -109,6 +110,23 @@ TEST(MetadataStoreTest, TierLruOrdering) {
   EXPECT_FALSE(store.oldest_in_tier("t").has_value());
 }
 
+// A read bumps recency outside the object's stripe, after a move out of
+// the tier may have landed: the bump must not list the object again.
+TEST(MetadataStoreTest, BumpRefreshesButNeverAdds) {
+  MetadataStore store;
+  store.touch_in_tier("t", "a");
+  store.touch_in_tier("t", "b");
+  store.bump_in_tier("t", "a");
+  EXPECT_EQ(*store.oldest_in_tier("t"), "b");
+  EXPECT_EQ(*store.newest_in_tier("t"), "a");
+  store.remove_from_tier("t", "a");
+  store.bump_in_tier("t", "a");
+  store.bump_in_tier("other", "a");
+  EXPECT_EQ(store.count_in_tier("t"), 1u);
+  EXPECT_EQ(store.count_in_tier("other"), 0u);
+  EXPECT_EQ(*store.newest_in_tier("t"), "b");
+}
+
 TEST(MetadataStoreTest, EmptyTierHasNoExtremes) {
   MetadataStore store;
   EXPECT_FALSE(store.oldest_in_tier("none").has_value());
@@ -154,6 +172,25 @@ TEST(MetadataStoreTest, PersistsThroughMetaDb) {
   // Recovery rebuilds the recency and content indexes.
   EXPECT_EQ(*store.oldest_in_tier("tier1"), "persisted");
   EXPECT_EQ(store.content_ref_count("h42"), 1u);
+}
+
+TEST(MetadataStoreTest, RecoverFailsWhenAValueCannotBeRead) {
+  TempDir dir;
+  {
+    auto db = MetaDb::open(dir.sub("meta"));
+    ASSERT_TRUE(db.ok());
+    MetadataStore store(std::move(db).value());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(store.put(make_meta("obj" + std::to_string(i))).ok());
+    }
+  }
+  auto db = MetaDb::open(dir.sub("meta"));
+  ASSERT_TRUE(db.ok());
+  // Cut the segment under the open log: the index still points at every
+  // record, but most values can no longer be read.
+  std::filesystem::resize_file(dir.sub("meta") + "/seg-1.log", 64);
+  MetadataStore store(std::move(db).value());
+  EXPECT_FALSE(store.recover().ok());
 }
 
 TEST(MetadataStoreTest, ConcurrentTouchAndSelect) {
