@@ -17,65 +17,42 @@
 
 namespace tiera {
 
-namespace {
-
-// Flight-recorder hook shared by the put/get/remove terminal sites. Runs on
-// every op (not sampled): the recorder write is a handful of relaxed atomic
-// stores, measured under the BM_InstancePut4K overhead gate.
-void record_flight_op(FlightOp op, std::string_view object_id,
-                      StatusCode status, Duration latency) {
-  FlightRecorder::global().record_op(
-      op, object_id, status,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(latency)
-              .count()),
-      current_stage_digest());
-}
-
-}  // namespace
-
 TieraInstance::TieraInstance(InstanceConfig config)
     : config_(std::move(config)),
       factory_(config_.data_dir),
       tracer_(RequestTracer::capacity_from_env(config_.trace_capacity)) {
   tracer_.set_enabled(config_.trace_requests);
   MetricsRegistry& reg = MetricsRegistry::global();
-  metrics_.puts = &reg.counter("tiera_instance_puts_total");
-  metrics_.gets = &reg.counter("tiera_instance_gets_total");
-  metrics_.removes = &reg.counter("tiera_instance_removes_total");
-  metrics_.get_misses = &reg.counter("tiera_instance_get_misses_total");
-  metrics_.failures = &reg.counter("tiera_instance_failures_total");
-  metrics_.policy_bytes = &reg.counter("tiera_instance_policy_bytes_total");
-  metrics_.policy_objects =
-      &reg.counter("tiera_instance_policy_objects_total");
-  metrics_.put_latency = &reg.histogram("tiera_instance_put_latency_ms");
-  metrics_.get_latency = &reg.histogram("tiera_instance_get_latency_ms");
-  metrics_.delete_latency = &reg.histogram("tiera_instance_delete_latency_ms");
+  for (const auto& [name, source] :
+       {std::pair{"tiera_instance_puts_total", &stats_.puts},
+        {"tiera_instance_gets_total", &stats_.gets},
+        {"tiera_instance_removes_total", &stats_.removes},
+        {"tiera_instance_get_misses_total", &stats_.get_misses},
+        {"tiera_instance_failures_total", &stats_.failures},
+        {"tiera_instance_policy_bytes_total", &stats_.policy_bytes},
+        {"tiera_instance_policy_objects_total", &stats_.policy_objects}}) {
+    counter_mirrors_.push_back({&reg.counter(name), source});
+  }
+  for (const auto& [name, source] :
+       {std::pair{"tiera_instance_put_latency_ms", &stats_.put_latency},
+        {"tiera_instance_get_latency_ms", &stats_.get_latency},
+        {"tiera_instance_delete_latency_ms", &stats_.delete_latency}}) {
+    histogram_mirrors_.push_back({&reg.histogram(name), source, {}});
+  }
   collector_id_ = reg.add_collector([this] { collect_metrics(); });
 }
 
 void TieraInstance::collect_metrics() {
-  const auto sync = [](Counter* counter,
-                       const std::atomic<std::uint64_t>& source,
-                       std::uint64_t& seen) {
-    const std::uint64_t v = source.load(std::memory_order_relaxed);
-    if (v > seen) {
-      counter->inc(v - seen);
-      seen = v;
+  for (CounterMirror& m : counter_mirrors_) {
+    const std::uint64_t v = m.source->load(std::memory_order_relaxed);
+    if (v > m.synced) {
+      m.counter->inc(v - m.synced);
+      m.synced = v;
     }
-  };
-  sync(metrics_.puts, stats_.puts, synced_.puts);
-  sync(metrics_.gets, stats_.gets, synced_.gets);
-  sync(metrics_.removes, stats_.removes, synced_.removes);
-  sync(metrics_.get_misses, stats_.get_misses, synced_.get_misses);
-  sync(metrics_.failures, stats_.failures, synced_.failures);
-  sync(metrics_.policy_bytes, stats_.policy_bytes, synced_.policy_bytes);
-  sync(metrics_.policy_objects, stats_.policy_objects,
-       synced_.policy_objects);
-  metrics_.put_latency->merge_new_since(stats_.put_latency,
-                                        put_latency_cursor_);
-  metrics_.get_latency->merge_new_since(stats_.get_latency,
-                                        get_latency_cursor_);
+  }
+  for (HistogramMirror& m : histogram_mirrors_) {
+    m.histogram->merge_new_since(*m.source, m.cursor);
+  }
 }
 
 Counter& TieraInstance::tier_hit_counter(const std::string& tier_label) {
@@ -251,16 +228,101 @@ std::vector<std::string> TieraInstance::tier_labels() const {
 
 // --- Application interface ---------------------------------------------------
 
+// One application request. Construction opens its root span (every rule it
+// fires, background responses included, records child spans under it), its
+// stage scope and its clock; the body fills in what it learned; finish()
+// reports the outcome to every per-op sink, once.
+class TieraInstance::OpRecord {
+ public:
+  OpRecord(TieraInstance& instance, StageOp verb, std::string_view id)
+      : id(id), instance_(instance), verb_(verb), stage_(verb) {}
+
+  Status finish(Status status);
+  Result<Bytes> finish(Result<Bytes> result) {
+    (void)finish(result.status());
+    return result;
+  }
+
+  const std::string id;
+  std::string tier;         // tier served (GET) or first stored into (PUT)
+  std::uint64_t bytes = 0;  // at-rest bytes served (GET)
+  bool missing = false;     // the object did not exist (GET/DELETE)
+
+ private:
+  TieraInstance& instance_;
+  const StageOp verb_;
+  TraceScope span_;
+  OpStageScope stage_;
+  Stopwatch watch_;
+};
+
+// The per-op sink table of DESIGN.md §6. A miss is not a failure and never
+// reaches the SLO; a failed PUT still counts as a PUT; DELETEs have no SLO.
+Status TieraInstance::OpRecord::finish(Status status) {
+  TieraInstance& in = instance_;
+  InstanceStats& stats = in.stats_;
+  const Duration latency = watch_.elapsed();
+  const bool ok = status.ok();
+  if (!ok && !missing) stats.failures.fetch_add(1, std::memory_order_relaxed);
+  if (verb_ == StageOp::kPut) {
+    stats.puts.fetch_add(1, std::memory_order_relaxed);
+    stats.ops.add();
+    stats.put_latency.record(latency);
+    in.slo_.record_put(latency, tier, ok);
+  } else if (verb_ == StageOp::kGet) {
+    if (missing) {
+      stats.get_misses.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      in.slo_.record_get(latency, tier, ok);
+    }
+    if (ok) {
+      stats.gets.fetch_add(1, std::memory_order_relaxed);
+      stats.ops.add();
+      stats.get_latency.record(latency);
+      in.tier_hit_counter(tier).inc();
+      if (in.heat_) in.heat_->record(tier, id, bytes);
+      if (in.cost_) in.cost_->record_client_read(tier, bytes);
+    }
+  } else if (ok) {
+    stats.removes.fetch_add(1, std::memory_order_relaxed);
+    stats.ops.add();
+    stats.delete_latency.record(latency);
+  }
+  const bool put = verb_ == StageOp::kPut;
+  const bool get = verb_ == StageOp::kGet;
+  in.tracer_.record(
+      span_, put ? TraceOp::kPut : get ? TraceOp::kGet : TraceOp::kDelete, "",
+      id, tier, ok);
+  // Every op, not sampled: a handful of relaxed atomic stores, measured
+  // under the BM_InstancePut4K overhead gate.
+  FlightRecorder::global().record_op(
+      put ? FlightOp::kPut : get ? FlightOp::kGet : FlightOp::kDelete, id,
+      status.code(),
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(latency)
+              .count()),
+      current_stage_digest());
+  return status;
+}
+
 Status TieraInstance::put(std::string_view id, ByteView data,
                           const std::vector<std::string>& tags) {
-  // Root span for this request: every rule the PUT fires — including
-  // background responses queued on the control pool — records child spans
-  // under this context.
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kPut);
-  Stopwatch watch;
-  const std::string object_id(id);
+  OpRecord op(*this, StageOp::kPut, id);
+  return op.finish(put_body(op, data, tags));
+}
 
+Result<Bytes> TieraInstance::get(std::string_view id) {
+  OpRecord op(*this, StageOp::kGet, id);
+  return op.finish(get_body(op));
+}
+
+Status TieraInstance::remove(std::string_view id) {
+  OpRecord op(*this, StageOp::kDelete, id);
+  return op.finish(remove_body(op));
+}
+
+Status TieraInstance::put_body(OpRecord& op, ByteView data,
+                               const std::vector<std::string>& tags) {
   // Objects are immutable but may be overwritten. Overwrite happens in
   // place: the new bytes land under the same storage key, so concurrent
   // readers always observe either the old or the new version (never a
@@ -268,13 +330,13 @@ Status TieraInstance::put(std::string_view id, ByteView data,
   // overwritten in place — their storage key derives from the content —
   // so those drop the old incarnation first (no delete event: this is a
   // replacement, not an application delete).
-  auto old = meta_.get(object_id);
+  auto old = meta_.get(op.id);
   if (old && !old->content_hash.empty()) {
-    (void)engine_delete({object_id}, {}, nullptr);
+    (void)engine_delete({op.id}, {}, nullptr);
     old.reset();
   }
   if (old) {
-    TIERA_RETURN_IF_ERROR(meta_.update(object_id, [&](ObjectMeta& cur) {
+    TIERA_RETURN_IF_ERROR(meta_.update(op.id, [&](ObjectMeta& cur) {
       cur.size = data.size();
       cur.dirty = true;
       cur.last_access = now();
@@ -285,7 +347,7 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     }));
   } else {
     ObjectMeta meta;
-    meta.id = object_id;
+    meta.id = op.id;
     meta.size = data.size();
     meta.dirty = true;
     meta.created = meta.last_access = now();
@@ -295,7 +357,7 @@ Status TieraInstance::put(std::string_view id, ByteView data,
 
   EventContext ctx;
   ctx.instance = this;
-  ctx.object_id = object_id;
+  ctx.object_id = op.id;
   ctx.payload = std::make_shared<const Bytes>(data.begin(), data.end());
   if (old) ctx.overwrite_pending = std::make_shared<std::atomic<bool>>(true);
 
@@ -309,7 +371,7 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     if (!ctx.stored && config_.default_placement) {
       const auto snapshot = tier_snapshot();
       if (!snapshot.empty()) {
-        (void)engine_store(object_id, ctx.payload, {snapshot.front().label},
+        (void)engine_store(op.id, ctx.payload, {snapshot.front().label},
                            /*dedup=*/false, &ctx);
       }
     }
@@ -320,74 +382,31 @@ Status TieraInstance::put(std::string_view id, ByteView data,
     control_->evaluate_thresholds();
   }
 
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  stats_.put_latency.record(watch.elapsed());
-
   if (!ctx.stored) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_put(watch.elapsed(), "", false);
-    tracer_.record(span, TraceOp::kPut, "", object_id, "", false);
-    record_flight_op(FlightOp::kPut, object_id, StatusCode::kUnavailable,
-                     watch.elapsed());
-    if (!old) (void)meta_.erase(object_id);
-    return Status::Unavailable("no tier accepted object " + object_id);
+    if (!old) (void)meta_.erase(op.id);
+    return Status::Unavailable("no tier accepted object " + op.id);
   }
-  if (!ctx.placement_error.ok()) {
-    // Part of the synchronous policy (a replica or write-through copy)
-    // failed: the write is not acknowledged, though any bytes that did land
-    // stay readable.
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_put(watch.elapsed(),
-                    ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                    false);
-    tracer_.record(span, TraceOp::kPut, "", object_id,
-                   ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                   false);
-    record_flight_op(FlightOp::kPut, object_id, ctx.placement_error.code(),
-                     watch.elapsed());
-    return ctx.placement_error;
-  }
-  slo_.record_put(watch.elapsed(),
-                  ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                  true);
-  tracer_.record(span, TraceOp::kPut, "", object_id,
-                 ctx.stored_tiers.empty() ? "" : ctx.stored_tiers.front(),
-                 true);
-  record_flight_op(FlightOp::kPut, object_id, StatusCode::kOk,
-                   watch.elapsed());
-  return Status::Ok();
+  op.tier = ctx.stored_tiers.front();
+  // A failed part of the synchronous policy (a replica or write-through
+  // copy) leaves the write unacknowledged, though any bytes that did land
+  // stay readable.
+  return ctx.placement_error;
 }
 
-Result<Bytes> TieraInstance::get(std::string_view id) {
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kGet);
-  Stopwatch watch;
-  const std::string object_id(id);
-  const auto meta = meta_.get(object_id);
+Result<Bytes> TieraInstance::get_body(OpRecord& op) {
+  const auto meta = meta_.get(op.id);
   if (!meta) {
-    stats_.get_misses.fetch_add(1, std::memory_order_relaxed);
-    tracer_.record(span, TraceOp::kGet, "", object_id, "", false);
-    record_flight_op(FlightOp::kGet, object_id, StatusCode::kNotFound,
-                     watch.elapsed());
-    return Status::NotFound("no object " + object_id);
+    op.missing = true;
+    return Status::NotFound("no object " + op.id);
   }
 
-  std::string served_tier;
-  Result<Bytes> at_rest = read_at_rest(*meta, &served_tier);
-  if (!at_rest.ok()) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
-    slo_.record_get(watch.elapsed(), served_tier, false);
-    tracer_.record(span, TraceOp::kGet, "", object_id, served_tier, false);
-    record_flight_op(FlightOp::kGet, object_id, at_rest.status().code(),
-                     watch.elapsed());
-    return at_rest.status();
-  }
+  Result<Bytes> at_rest = read_at_rest(*meta, &op.tier);
+  if (!at_rest.ok()) return at_rest.status();
 
   // Undo at-rest transforms (applied compress-first, so undo decrypt-first).
   Bytes bytes = std::move(at_rest).value();
   // What left the tier (at-rest size), for heat and egress accounting.
-  const std::uint64_t served_bytes = bytes.size();
+  op.bytes = bytes.size();
   {
     StageTimer build_stage(Stage::kResponseBuild);
     if (meta->encrypted) {
@@ -410,45 +429,33 @@ Result<Bytes> TieraInstance::get(std::string_view id) {
     }
   }
 
-  (void)meta_.update(object_id, [&](ObjectMeta& cur) {
+  (void)meta_.update(op.id, [&](ObjectMeta& cur) {
     cur.access_count += 1;
     cur.last_access = now();
     return true;
   });
-  meta_.bump_in_tier(served_tier, object_id);
+  meta_.bump_in_tier(op.tier, op.id);
 
   EventContext ctx;
   ctx.instance = this;
-  ctx.object_id = object_id;
-  ctx.action_tier = served_tier;
+  ctx.object_id = op.id;
+  ctx.action_tier = op.tier;
   {
     StageTimer policy_stage(Stage::kPolicyEval);
-    control_->on_action(ActionType::kGet, ctx, {served_tier});
+    control_->on_action(ActionType::kGet, ctx, {op.tier});
   }
-
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  stats_.get_latency.record(watch.elapsed());
-  slo_.record_get(watch.elapsed(), served_tier, true);
-  tier_hit_counter(served_tier).inc();
-  if (heat_) heat_->record(served_tier, object_id, served_bytes);
-  if (cost_) cost_->record_client_read(served_tier, served_bytes);
-  tracer_.record(span, TraceOp::kGet, "", object_id, served_tier, true);
-  record_flight_op(FlightOp::kGet, object_id, StatusCode::kOk,
-                   watch.elapsed());
   return bytes;
 }
 
-Status TieraInstance::remove(std::string_view id) {
-  TraceScope span;
-  OpStageScope stage_scope(StageOp::kDelete);
-  Stopwatch watch;
-  const std::string object_id(id);
-  if (!meta_.contains(object_id)) return Status::NotFound("no such object");
+Status TieraInstance::remove_body(OpRecord& op) {
+  if (!meta_.contains(op.id)) {
+    op.missing = true;
+    return Status::NotFound("no such object");
+  }
 
   EventContext ctx;
   ctx.instance = this;
-  ctx.object_id = object_id;
+  ctx.object_id = op.id;
   // Delete events fire before the object disappears so responses can still
   // act on it (archive-on-delete policies).
   {
@@ -456,17 +463,9 @@ Status TieraInstance::remove(std::string_view id) {
     control_->on_action(ActionType::kDelete, ctx, {});
   }
 
-  TIERA_RETURN_IF_ERROR(engine_delete({object_id}, {}, &ctx));
-  {
-    StageTimer policy_stage(Stage::kPolicyEval);
-    control_->evaluate_thresholds();
-  }
-  stats_.removes.fetch_add(1, std::memory_order_relaxed);
-  stats_.ops.add();
-  metrics_.delete_latency->record(watch.elapsed());
-  tracer_.record(span, TraceOp::kDelete, "", object_id, "", true);
-  record_flight_op(FlightOp::kDelete, object_id, StatusCode::kOk,
-                   watch.elapsed());
+  TIERA_RETURN_IF_ERROR(engine_delete({op.id}, {}, &ctx));
+  StageTimer policy_stage(Stage::kPolicyEval);
+  control_->evaluate_thresholds();
   return Status::Ok();
 }
 

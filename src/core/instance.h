@@ -87,6 +87,7 @@ struct InstanceConfig {
 struct InstanceStats {
   LatencyHistogram put_latency;
   LatencyHistogram get_latency;
+  LatencyHistogram delete_latency;
   ThroughputMeter ops;
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
@@ -243,6 +244,15 @@ class TieraInstance {
   explicit TieraInstance(InstanceConfig config);
   Status init();
 
+  // One application request from entry to exit (defined in instance.cpp).
+  // put/get/remove open one, run their body, and hand the body's outcome to
+  // OpRecord::finish, the only code that feeds the per-op sinks.
+  class OpRecord;
+  Status put_body(OpRecord& op, ByteView data,
+                  const std::vector<std::string>& tags);
+  Result<Bytes> get_body(OpRecord& op);
+  Status remove_body(OpRecord& op);
+
   struct TierEntry {
     std::string label;
     TierPtr tier;
@@ -335,39 +345,23 @@ class TieraInstance {
   PoolMetrics hedge_pool_metrics_{hedge_pool_};
 
   // End-to-end series in the global registry (`tiera_instance_*`).
-  // Pull-model: a registered collector delta-syncs counters from `stats_`
-  // and mirrors the per-instance latency histograms at render time, so the
-  // request path pays only for `stats_` (which it updated already in the
-  // seed). Only delete_latency is pushed directly (stats_ has no source
-  // for it).
-  struct Metrics {
-    Counter* puts;
-    Counter* gets;
-    Counter* removes;
-    Counter* get_misses;
-    Counter* failures;
-    Counter* policy_bytes;
-    Counter* policy_objects;
-    LatencyHistogram* put_latency;
-    LatencyHistogram* get_latency;
-    LatencyHistogram* delete_latency;
+  // Pull-model: a registered collector delta-syncs each counter from its
+  // `stats_` source and merges each latency histogram's new samples at
+  // render time, so the request path pays only for `stats_`. Only the
+  // collector touches the mirrors (serialized by the registry's collector
+  // lock).
+  struct CounterMirror {
+    Counter* counter;
+    const std::atomic<std::uint64_t>* source;
+    std::uint64_t synced = 0;  // source value already pushed
   };
-  Metrics metrics_;
-  // Collector state: last stats_ values already pushed into the registry,
-  // plus merge cursors for the histogram mirrors. Only the collector touches
-  // these (serialized by the registry's collector lock).
-  struct SyncedStats {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t removes = 0;
-    std::uint64_t get_misses = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t policy_bytes = 0;
-    std::uint64_t policy_objects = 0;
+  struct HistogramMirror {
+    LatencyHistogram* histogram;
+    const LatencyHistogram* source;
+    LatencyHistogram cursor;  // merge_new_since position
   };
-  SyncedStats synced_;
-  LatencyHistogram put_latency_cursor_;
-  LatencyHistogram get_latency_cursor_;
+  std::vector<CounterMirror> counter_mirrors_;
+  std::vector<HistogramMirror> histogram_mirrors_;
   std::uint64_t collector_id_ = 0;
   void collect_metrics();
   // Per-served-tier GET hit counters. The read path does a lock-free scan of

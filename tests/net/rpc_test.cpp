@@ -296,17 +296,28 @@ TEST_F(TieraServiceTest, ProfileRoundTripNamesServerFrames) {
   // Drive traffic from a second thread while the kProfile capture blocks the
   // calling client connection, so the sampler has live op frames to see.
   std::atomic<bool> stop{false};
+  std::atomic<bool> put_acked{false};
+  std::atomic<bool> load_exited{false};
   std::thread load([&] {
     auto client = RemoteTieraClient::connect("127.0.0.1", server_->port());
-    if (!client.ok()) return;
+    if (!client.ok()) {
+      ADD_FAILURE() << "load client: " << client.status().to_string();
+      load_exited.store(true);
+      return;
+    }
     const Bytes payload = make_payload(1024, 9);
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::string key = "prof" + std::to_string(i++ % 32);
-      (void)(*client)->put(key, as_view(payload));
+      if ((*client)->put(key, as_view(payload)).ok()) put_acked.store(true);
       (void)(*client)->get(key);
     }
   });
+  // Capture only once traffic flows: a load thread that is still connecting
+  // when the window closes leaves every shard idle in the folded stacks.
+  while (!put_acked.load() && !load_exited.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   auto folded = client_->profile(/*duration_ms=*/300, /*interval_us=*/200);
   stop.store(true, std::memory_order_relaxed);
