@@ -7,6 +7,8 @@
 // Asserts:
 //   - zero request errors at both concurrency levels (hard)
 //   - fsyncs stay well below one per record: fsyncs * 4 < records (hard)
+//   - the journal logs at most one record per acknowledged PUT, so none
+//     for GETs: records <= PUTs in the 8-thread phase (hard)
 //   - 4-thread QPS does not collapse below half of 1-thread QPS (hard)
 //   - 4-thread QPS >= 3x 1-thread QPS -- only when TIERA_SATURATION_STRICT=1
 //     (the scaling gate needs real cores; CI containers often pin us to one)
@@ -39,10 +41,12 @@ std::uint64_t counter_value(const char* name) {
 }
 
 // Runs `threads` client workers against the server for kRunTime and
-// returns aggregate QPS. Each worker owns one connection and a private
-// keyspace, so scaling is limited by the server, not by client locking.
+// returns aggregate QPS; `puts` receives the number of acknowledged PUTs.
+// Each worker owns one connection and a private keyspace, so scaling is
+// limited by the server, not by client locking.
 double run_load(std::uint16_t port, int threads,
-                std::atomic<std::uint64_t>& errors) {
+                std::atomic<std::uint64_t>& errors, std::uint64_t* puts) {
+  std::atomic<std::uint64_t> acked_puts{0};
   std::atomic<std::uint64_t> ops{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
@@ -66,6 +70,7 @@ double run_load(std::uint16_t port, int threads,
           errors.fetch_add(1);
           break;
         }
+        acked_puts.fetch_add(1);
         if (!(*client)->get(key).ok()) {
           errors.fetch_add(1);
           break;
@@ -78,6 +83,7 @@ double run_load(std::uint16_t port, int threads,
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
+  *puts = acked_puts.load();
   const auto elapsed = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - start);
   return static_cast<double>(ops.load()) / elapsed.count();
@@ -118,9 +124,10 @@ int main(int argc, char** argv) {
   const std::size_t shards = server.shard_count();
 
   std::atomic<std::uint64_t> errors{0};
-  const double qps1 = run_load(server.port(), 1, errors);
+  std::uint64_t puts = 0;
+  const double qps1 = run_load(server.port(), 1, errors, &puts);
 
-  const double qps4 = run_load(server.port(), 4, errors);
+  const double qps4 = run_load(server.port(), 4, errors, &puts);
 
   // The coalescing gate is judged on a genuinely saturated phase: with N
   // concurrent committers the best possible records/fsync ratio is ~N (one
@@ -131,7 +138,7 @@ int main(int argc, char** argv) {
       counter_value("tiera_metadb_group_commit_records_total");
   const std::uint64_t fsyncs0 =
       counter_value("tiera_metadb_group_commit_fsyncs_total");
-  const double qps8 = run_load(server.port(), 8, errors);
+  const double qps8 = run_load(server.port(), 8, errors, &puts);
   const std::uint64_t records =
       counter_value("tiera_metadb_group_commit_records_total") - records0;
   const std::uint64_t fsyncs =
@@ -163,6 +170,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(records));
     ok = false;
   }
+  if (records > puts) {
+    std::fprintf(stderr, "FAIL: journal logs more than one record per PUT: "
+                         "records=%llu puts=%llu (gate: records <= puts)\n",
+                 static_cast<unsigned long long>(records),
+                 static_cast<unsigned long long>(puts));
+    ok = false;
+  }
   if (qps4 < 0.5 * qps1) {
     std::fprintf(stderr, "FAIL: throughput collapses under concurrency "
                          "(qps1=%.0f qps4=%.0f)\n", qps1, qps4);
@@ -183,6 +197,11 @@ int main(int argc, char** argv) {
   report += "qps_threads_8: " + std::to_string(qps8) + "\n";
   report += "journal_records: " + std::to_string(records) + "\n";
   report += "journal_fsyncs: " + std::to_string(fsyncs) + "\n";
+  report += "acked_puts: " + std::to_string(puts) + "\n";
+  report += "records_per_put: " +
+            std::to_string(puts ? static_cast<double>(records) /
+                                      static_cast<double>(puts)
+                                : 0.0) + "\n";
   report += "records_per_fsync: " +
             std::to_string(fsyncs ? static_cast<double>(records) /
                                         static_cast<double>(fsyncs)

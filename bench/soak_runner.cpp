@@ -140,6 +140,8 @@ struct SoakStats {
   std::atomic<std::uint64_t> total_unexpected{0};
   std::atomic<std::uint64_t> background_ok{0};
   std::atomic<std::uint64_t> background_shed{0};
+  // Sends that failed, and replies other than OK, NotFound or Overloaded.
+  std::atomic<std::uint64_t> background_failed{0};
 };
 
 std::uint64_t rss_bytes() {
@@ -318,14 +320,18 @@ void SoakRun::drive_background(std::uint16_t port, std::atomic<bool>* stop) {
     std::this_thread::sleep_until(target);
     WireWriter w;
     w.str("u" + std::to_string(rng.next_below(options_.users)));
-    (*client)->call_async(static_cast<std::uint8_t>(TieraMethod::kGet),
-                          as_view(w.data()), [this](Status status, Bytes) {
-                            if (status.ok() || status.is_not_found()) {
-                              stats_.background_ok.fetch_add(1);
-                            } else if (status.is_overloaded()) {
-                              stats_.background_shed.fetch_add(1);
-                            }
-                          });
+    const Status sent = (*client)->call_async(
+        static_cast<std::uint8_t>(TieraMethod::kGet), as_view(w.data()),
+        [this](Status status, Bytes) {
+          if (status.ok() || status.is_not_found()) {
+            stats_.background_ok.fetch_add(1);
+          } else if (status.is_overloaded()) {
+            stats_.background_shed.fetch_add(1);
+          } else {
+            stats_.background_failed.fetch_add(1);
+          }
+        });
+    if (!sent.ok()) stats_.background_failed.fetch_add(1);
   }
   // Let stragglers land before the client (and its callbacks) go away.
   for (int i = 0; i < 100 && (*client)->outstanding() > 0; ++i) {
@@ -540,14 +546,17 @@ int SoakRun::run(const std::string& report_path) {
 
   std::snprintf(line, sizeof line,
                 "\ntotals: ok=%llu shed=%llu miss_fill=%llu storm_err=%llu "
-                "unexpected_err=%llu background_ok=%llu background_shed=%llu\n",
+                "unexpected_err=%llu background_ok=%llu background_shed=%llu "
+                "background_failed=%llu\n",
                 static_cast<unsigned long long>(stats_.total_ok.load()),
                 static_cast<unsigned long long>(shed_total),
                 static_cast<unsigned long long>(stats_.total_miss.load()),
                 static_cast<unsigned long long>(stats_.total_storm_err.load()),
                 static_cast<unsigned long long>(unexpected),
                 static_cast<unsigned long long>(stats_.background_ok.load()),
-                static_cast<unsigned long long>(stats_.background_shed.load()));
+                static_cast<unsigned long long>(stats_.background_shed.load()),
+                static_cast<unsigned long long>(
+                    stats_.background_failed.load()));
   out += line;
   if (server.admission() != nullptr) {
     std::snprintf(line, sizeof line,

@@ -330,13 +330,16 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
   // overwritten in place — their storage key derives from the content —
   // so those drop the old incarnation first (no delete event: this is a
   // replacement, not an application delete).
+  //
+  // The record written here stays in memory, where placement rules see it;
+  // the store that lands the bytes logs it, once, with its locations.
   auto old = meta_.get(op.id);
   if (old && !old->content_hash.empty()) {
     (void)engine_delete({op.id}, {}, nullptr);
     old.reset();
   }
   if (old) {
-    TIERA_RETURN_IF_ERROR(meta_.update(op.id, [&](ObjectMeta& cur) {
+    TIERA_RETURN_IF_ERROR(meta_.update_in_memory(op.id, [&](ObjectMeta& cur) {
       cur.size = data.size();
       cur.dirty = true;
       cur.last_access = now();
@@ -352,7 +355,7 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
     meta.dirty = true;
     meta.created = meta.last_access = now();
     meta.tags.insert(tags.begin(), tags.end());
-    TIERA_RETURN_IF_ERROR(meta_.put(meta));
+    meta_.put_in_memory(meta);
   }
 
   EventContext ctx;
@@ -371,8 +374,10 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
     if (!ctx.stored && config_.default_placement) {
       const auto snapshot = tier_snapshot();
       if (!snapshot.empty()) {
-        (void)engine_store(op.id, ctx.payload, {snapshot.front().label},
-                           /*dedup=*/false, &ctx);
+        const Status s = engine_store(op.id, ctx.payload,
+                                      {snapshot.front().label},
+                                      /*dedup=*/false, &ctx);
+        if (!s.ok() && ctx.placement_error.ok()) ctx.placement_error = s;
       }
     }
     // Pass 2: reactions to where it landed (`insert.into == tierX`).
@@ -383,7 +388,7 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
   }
 
   if (!ctx.stored) {
-    if (!old) (void)meta_.erase(op.id);
+    if (!old) (void)meta_.erase(op.id);  // never logged: leaves no trace
     return Status::Unavailable("no tier accepted object " + op.id);
   }
   op.tier = ctx.stored_tiers.front();
@@ -429,12 +434,7 @@ Result<Bytes> TieraInstance::get_body(OpRecord& op) {
     }
   }
 
-  (void)meta_.update(op.id, [&](ObjectMeta& cur) {
-    cur.access_count += 1;
-    cur.last_access = now();
-    return true;
-  });
-  meta_.bump_in_tier(op.tier, op.id);
+  meta_.record_access(op.id, op.tier);
 
   EventContext ctx;
   ctx.instance = this;
@@ -647,7 +647,7 @@ Status TieraInstance::engine_store(std::string_view id,
     fresh.size = payload->size();
     fresh.dirty = true;
     fresh.created = fresh.last_access = now();
-    TIERA_RETURN_IF_ERROR(meta_.put(fresh));
+    meta_.put_in_memory(fresh);
     meta = fresh;
   }
 
@@ -672,10 +672,11 @@ Status TieraInstance::engine_store(std::string_view id,
     if (meta->content_hash.empty()) {
       const std::string hash = Sha256::hex_digest(at_rest);
       maybe_resident = !meta_.add_content_ref(hash, object_id);
-      TIERA_RETURN_IF_ERROR(meta_.update(object_id, [&](ObjectMeta& cur) {
-        cur.content_hash = hash;
-        return true;
-      }));
+      TIERA_RETURN_IF_ERROR(
+          meta_.update_in_memory(object_id, [&](ObjectMeta& cur) {
+            cur.content_hash = hash;
+            return true;
+          }));
       storage_key = "cas:" + hash;
     } else {
       // Hash already assigned (e.g. an earlier storeOnce on another tier):
@@ -720,7 +721,8 @@ Status TieraInstance::engine_store(std::string_view id,
     touched = true;
     written.push_back(label);
     durable_dest = durable_dest || (*t)->durable();
-    (void)meta_.update(object_id, [&](ObjectMeta& cur) {
+    // Readable from this tier at once; logged after the loop.
+    (void)meta_.update_in_memory(object_id, [&](ObjectMeta& cur) {
       cur.locations.insert(label);
       return true;
     });
@@ -742,12 +744,6 @@ Status TieraInstance::engine_store(std::string_view id,
     stats_.policy_objects.fetch_add(1, std::memory_order_relaxed);
     if (ctx) ++ctx->objects_touched;
   }
-  if (durable_dest) {
-    (void)meta_.update(object_id, [&](ObjectMeta& cur) {
-      cur.dirty = false;
-      return true;
-    });
-  }
   // An overwrite's first landing makes every location it did not write
   // stale: those hold the previous bytes, including any copy a move made
   // after PUT read the old metadata. Dropping them here, under the stripe,
@@ -756,6 +752,17 @@ Status TieraInstance::engine_store(std::string_view id,
   if (touched && ctx && ctx->overwrite_pending && payload == ctx->payload &&
       ctx->overwrite_pending->exchange(false)) {
     drop_stale_locations_locked(*meta, storage_key, written);
+  }
+  // One logged record per store, still under the stripe: it carries what
+  // the memory-only steps above (and the PUT before them) changed. Its
+  // failure fails the store, so a PUT is never acknowledged without it.
+  if (touched) {
+    const Status logged = meta_.update(object_id, [&](ObjectMeta& cur) {
+      cur.locations.insert(written.begin(), written.end());
+      if (durable_dest) cur.dirty = false;
+      return true;
+    });
+    if (!logged.ok()) last = logged;
   }
   return last;
 }
@@ -775,7 +782,8 @@ void TieraInstance::drop_stale_locations_locked(
       (void)t->remove(old_key);
     }
     if (rewritten) continue;  // new bytes under the new (storeOnce) key
-    (void)meta_.update(previous.id, [&](ObjectMeta& cur) {
+    // The store's logged record carries this.
+    (void)meta_.update_in_memory(previous.id, [&](ObjectMeta& cur) {
       cur.locations.erase(label);
       return true;
     });
@@ -965,12 +973,12 @@ Status TieraInstance::engine_delete(const std::vector<std::string>& ids,
       last = Status::NotFound("no object " + id);
       continue;
     }
-    bool touched = false;
     const std::vector<std::string> targets =
         tier_labels.empty()
             ? std::vector<std::string>(meta->locations.begin(),
                                        meta->locations.end())
             : tier_labels;
+    std::vector<std::string> dropped;
     for (const auto& label : targets) {
       if (!meta->in_tier(label)) continue;
       Result<TierPtr> t = find_tier(label);
@@ -979,25 +987,35 @@ Status TieraInstance::engine_delete(const std::vector<std::string>& ids,
         const Status s = (*t)->remove(meta->storage_key());
         if (!s.ok() && !s.is_not_found()) last = s;
       }
-      (void)meta_.update(id, [&](ObjectMeta& cur) {
+      // Unreadable from this tier at once; logged after the loop.
+      (void)meta_.update_in_memory(id, [&](ObjectMeta& cur) {
         cur.locations.erase(label);
         return true;
       });
       meta_.remove_from_tier(label, id);
-      touched = true;
+      dropped.push_back(label);
       if (ctx) ++ctx->mutations;
     }
-    if (touched) {
+    if (!dropped.empty()) {
       stats_.policy_objects.fetch_add(1, std::memory_order_relaxed);
       if (ctx) ++ctx->objects_touched;
     }
+    // One logged record per object: the erase once no location is left,
+    // otherwise the record without the dropped locations.
     const auto after = meta_.get(id);
+    Status logged = Status::Ok();
     if (after && after->locations.empty()) {
       if (!after->content_hash.empty()) {
         meta_.drop_content_ref(after->content_hash, id);
       }
-      (void)meta_.erase(id);
+      logged = meta_.erase(id);
+    } else if (after && !dropped.empty()) {
+      logged = meta_.update(id, [&](ObjectMeta& cur) {
+        for (const auto& label : dropped) cur.locations.erase(label);
+        return true;
+      });
     }
+    if (!logged.ok() && !logged.is_not_found()) last = logged;
   }
   return last;
 }
@@ -1013,19 +1031,23 @@ Status TieraInstance::engine_retrieve(const std::vector<std::string>& ids) {
       last = bytes.status();
       continue;
     }
-    (void)meta_.update(id, [&](ObjectMeta& cur) {
-      cur.access_count += 1;
-      cur.last_access = now();
-      return true;
-    });
-    meta_.bump_in_tier(served, id);
+    meta_.record_access(id, served);
   }
   return last;
 }
 
 Status TieraInstance::engine_encrypt(const std::vector<std::string>& ids,
                                      const ChaChaKey& key) {
-  set_encryption_key(key);
+  {
+    // The instance holds one GET key: replacing it would leave every object
+    // encrypted under the old one unreadable.
+    std::lock_guard lock(key_mu_);
+    if (encryption_key_ && *encryption_key_ != key) {
+      return Status::InvalidArgument(
+          "encrypt: another key is registered for this instance");
+    }
+    encryption_key_ = key;
+  }
   Status last = Status::Ok();
   for (const auto& id : ids) {
     std::lock_guard object_guard(object_lock(id));

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "common/clock.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "obs/stage.h"
@@ -58,12 +59,16 @@ Status MetadataStore::recover() {
 
 Status MetadataStore::persist(const ObjectMeta& meta) {
   if (!db_) return Status::Ok();
+  StageTimer stage(Stage::kMetadataLookup);
   return db_->put(std::string(kDbPrefix) + meta.id, as_view(meta.encode()));
 }
 
 Status MetadataStore::unpersist(std::string_view id) {
   if (!db_) return Status::Ok();
-  Status s = db_->erase(std::string(kDbPrefix) + std::string(id));
+  StageTimer stage(Stage::kMetadataLookup);
+  const std::string key = std::string(kDbPrefix) + std::string(id);
+  if (!db_->contains(key)) return Status::Ok();
+  Status s = db_->erase(key);
   return s.is_not_found() ? Status::Ok() : s;
 }
 
@@ -84,28 +89,46 @@ bool MetadataStore::contains(std::string_view id) const {
 }
 
 Status MetadataStore::put(const ObjectMeta& meta) {
+  put_in_memory(meta);
+  return persist(meta);
+}
+
+void MetadataStore::put_in_memory(const ObjectMeta& meta) {
   StageTimer stage(Stage::kMetadataLookup);
   Shard& shard = shard_for(meta.id);
-  {
-    std::lock_guard lock(shard.mu);
-    shard.map[meta.id] = meta;
-  }
-  return persist(meta);
+  std::lock_guard lock(shard.mu);
+  shard.map[meta.id] = meta;
 }
 
 Status MetadataStore::update(std::string_view id,
                              const std::function<bool(ObjectMeta&)>& fn) {
+  std::optional<ObjectMeta> changed;
+  TIERA_RETURN_IF_ERROR(update_in_memory(id, [&](ObjectMeta& cur) {
+    if (!fn(cur)) return false;
+    changed = cur;
+    return true;
+  }));
+  return changed ? persist(*changed) : Status::Ok();
+}
+
+Status MetadataStore::update_in_memory(
+    std::string_view id, const std::function<bool(ObjectMeta&)>& fn) {
   StageTimer stage(Stage::kMetadataLookup);
   Shard& shard = shard_for(id);
-  ObjectMeta snapshot;
-  {
-    std::lock_guard lock(shard.mu);
-    auto it = shard.map.find(std::string(id));
-    if (it == shard.map.end()) return Status::NotFound("object metadata");
-    if (!fn(it->second)) return Status::Ok();
-    snapshot = it->second;
-  }
-  return persist(snapshot);
+  std::lock_guard lock(shard.mu);
+  auto it = shard.map.find(std::string(id));
+  if (it == shard.map.end()) return Status::NotFound("object metadata");
+  fn(it->second);
+  return Status::Ok();
+}
+
+void MetadataStore::record_access(std::string_view id, std::string_view tier) {
+  const Status found = update_in_memory(id, [](ObjectMeta& cur) {
+    cur.access_count += 1;
+    cur.last_access = now();
+    return true;
+  });
+  if (found.ok()) bump_in_tier(tier, id);
 }
 
 Status MetadataStore::erase(std::string_view id) {

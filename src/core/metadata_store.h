@@ -2,7 +2,13 @@
 //
 // Mirrors the prototype's BerkeleyDB-backed metadata layer: a sharded
 // in-memory map for the hot path plus optional metadb persistence so an
-// instance restart recovers object locations. Also maintains:
+// instance restart recovers object locations. Only put/update/erase write
+// to the journal, and each logs the whole record (or its erase). The
+// *_in_memory calls and record_access change the map alone; their changes
+// reach the journal with the object's next logged put/update, and a
+// restart before that loses them. Access statistics (access_count,
+// last_access) are only ever written that way, so after a restart they
+// read as of the object's last logged change. Also maintains:
 //   * a per-tier recency list giving O(1) `tierX.oldest` / `tierX.newest`
 //     (the selectors behind the paper's LRU/MRU policies, Fig. 5), and
 //   * a content-hash reference-count table backing the storeOnce dedup
@@ -43,14 +49,24 @@ class MetadataStore {
   std::optional<ObjectMeta> get(std::string_view id) const;
   bool contains(std::string_view id) const;
 
-  // Insert or overwrite the full record.
+  // Insert or overwrite the full record, and log it.
   Status put(const ObjectMeta& meta);
+  void put_in_memory(const ObjectMeta& meta);
 
-  // Read-modify-write under the shard lock; returns NotFound when absent.
-  // `fn` returning false aborts without writing.
+  // Read-modify-write under the shard lock, then log the changed record;
+  // returns NotFound when absent. `fn` returning false aborts without
+  // writing.
   Status update(std::string_view id,
                 const std::function<bool(ObjectMeta&)>& fn);
+  Status update_in_memory(std::string_view id,
+                          const std::function<bool(ObjectMeta&)>& fn);
 
+  // A read served `id` from `tier`: bumps its access statistics and moves
+  // it to the most-recent end of `tier` (bump_in_tier rules). Never logged.
+  void record_access(std::string_view id, std::string_view tier);
+
+  // Logs the erase only when the journal holds the record: an object that
+  // was never logged leaves no trace.
   Status erase(std::string_view id);
 
   std::size_t size() const;

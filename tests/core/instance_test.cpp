@@ -267,6 +267,33 @@ TEST_F(InstanceTest, AccessMetadataUpdatedOnGet) {
   EXPECT_GE(after->last_access, before->last_access);
 }
 
+// The instance holds one GET key: encrypting under a second key fails and
+// encrypts nothing, so objects encrypted under the first still read back.
+TEST_F(InstanceTest, EncryptUnderASecondKeyFailsClosed) {
+  auto instance = make_two_tier();
+  const Bytes a = make_payload(256, 1);
+  const Bytes b = make_payload(256, 2);
+  ASSERT_TRUE(instance->put("a", as_view(a)).ok());
+  ASSERT_TRUE(instance->put("b", as_view(b)).ok());
+  ASSERT_TRUE(instance->engine_encrypt({"a"}, derive_key("one")).ok());
+  const Status second = instance->engine_encrypt({"b"}, derive_key("two"));
+  EXPECT_EQ(second.code(), StatusCode::kInvalidArgument)
+      << second.to_string();
+  EXPECT_FALSE(instance->stat("b")->encrypted);
+  auto got_a = instance->get("a");
+  ASSERT_TRUE(got_a.ok()) << got_a.status().to_string();
+  EXPECT_EQ(*got_a, a);
+  auto got_b = instance->get("b");
+  ASSERT_TRUE(got_b.ok()) << got_b.status().to_string();
+  EXPECT_EQ(*got_b, b);
+  // The registered key still encrypts.
+  EXPECT_TRUE(instance->engine_encrypt({"b"}, derive_key("one")).ok());
+  EXPECT_TRUE(instance->stat("b")->encrypted);
+  got_b = instance->get("b");
+  ASSERT_TRUE(got_b.ok());
+  EXPECT_EQ(*got_b, b);
+}
+
 TEST_F(InstanceTest, DirtyClearedByDurableCopy) {
   auto instance = make_two_tier();
   ASSERT_TRUE(instance->put("obj", as_view(make_payload(10, 1))).ok());

@@ -174,6 +174,69 @@ TEST(MetadataStoreTest, PersistsThroughMetaDb) {
   EXPECT_EQ(store.content_ref_count("h42"), 1u);
 }
 
+// Memory-only changes log nothing: the object's next logged record carries
+// them, and a restart before it loses them. Erasing an object that was
+// never logged leaves no tombstone.
+TEST(MetadataStoreTest, MemoryOnlyChangesRideTheNextLoggedRecord) {
+  TempDir dir;
+  const auto open = [&] {
+    auto db = MetaDb::open(dir.sub("meta"));
+    EXPECT_TRUE(db.ok());
+    auto store = std::make_unique<MetadataStore>(std::move(db).value());
+    EXPECT_TRUE(store->recover().ok());
+    return store;
+  };
+  const auto records = [](MetadataStore& store) {
+    return store.db()->journal_stats().records;
+  };
+  {
+    auto store = open();
+    ObjectMeta m = make_meta("obj");
+    m.locations = {"t"};
+    ASSERT_TRUE(store->put(m).ok());
+    store->touch_in_tier("t", "obj");
+    store->touch_in_tier("t", "other");
+    const std::uint64_t logged = records(*store);
+    store->record_access("obj", "t");
+    store->record_access("obj", "t");
+    ASSERT_TRUE(store
+                    ->update_in_memory("obj",
+                                       [](ObjectMeta& cur) {
+                                         cur.tags.insert("soft");
+                                         return true;
+                                       })
+                    .ok());
+    store->put_in_memory(make_meta("ghost"));
+    ASSERT_TRUE(store->erase("ghost").ok());
+    EXPECT_EQ(records(*store), logged);
+    EXPECT_EQ(store->get("obj")->access_count, 2u);
+    EXPECT_EQ(*store->newest_in_tier("t"), "obj");
+  }
+  {
+    auto store = open();
+    EXPECT_EQ(store->size(), 1u);
+    const auto m = store->get("obj");
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->access_count, 0u);
+    EXPECT_FALSE(m->has_tag("soft"));
+    store->record_access("obj", "t");
+    const std::uint64_t logged = records(*store);
+    ASSERT_TRUE(store
+                    ->update("obj",
+                             [](ObjectMeta& cur) {
+                               cur.size = 7;
+                               return true;
+                             })
+                    .ok());
+    EXPECT_EQ(records(*store), logged + 1);
+  }
+  auto store = open();
+  const auto m = store->get("obj");
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->size, 7u);
+  EXPECT_EQ(m->access_count, 1u);
+}
+
 TEST(MetadataStoreTest, RecoverFailsWhenAValueCannotBeRead) {
   TempDir dir;
   {

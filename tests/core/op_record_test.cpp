@@ -2,13 +2,14 @@
 // (InstanceStats, latency histograms, the SLO engine, the request tracer and
 // the flight recorder) exactly as the table in DESIGN.md §6 says. Each row
 // forces one exit on a fresh instance and asserts the exact delta of every
-// column.
-//
-// Not covered: a PUT whose metadata put/update fails. Nothing short of a
-// failing metadata journal produces that exit, and there is no way to make
-// the journal fail from outside the instance.
+// column. The PUT whose metadata record fails to commit needs a journal
+// that fails, so it has its own forked test below the table.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -267,6 +268,46 @@ INSTANTIATE_TEST_SUITE_P(Exits, OpRecordTest, ::testing::ValuesIn(kRows),
                          [](const ::testing::TestParamInfo<Row>& info) {
                            return std::string(info.param.name);
                          });
+
+// A PUT whose one metadata record fails to commit takes the PUT failure
+// row: it returns non-OK and counts in `failures`. Runs in a child so the
+// file-size limit that fails the journal write (EFBIG) stays out of the
+// test process; the tier is in memory, so only the journal hits the limit.
+TEST(OpRecordJournalTest, PutFailsWhenItsMetadataRecordFailsToCommit) {
+  TempDir dir;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    set_time_scale(0.0);
+    InstanceConfig config;
+    config.name = "oprec-journal";
+    config.data_dir = dir.sub("inst");
+    config.tiers = {{"Memcached", "tier1", 1 << 20}};
+    config.persist_metadata = true;
+    config.journal_sync = true;
+    auto created = TieraInstance::create(std::move(config));
+    if (!created.ok()) _exit(1);
+    TieraInstance& in = **created;
+    if (!in.put(kObject, as_view(make_payload(512, 1))).ok()) _exit(2);
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(3);
+    const rlimit capped{.rlim_cur = in.metadata().db()->log_bytes(),
+                        .rlim_max = limit.rlim_max};
+    if (::setrlimit(RLIMIT_FSIZE, &capped) != 0) _exit(3);
+    const std::uint64_t failures = in.stats().failures.load();
+    const std::uint64_t puts = in.stats().puts.load();
+    if (in.put("new", as_view(make_payload(512, 2))).ok()) _exit(4);
+    if (in.put(kObject, as_view(make_payload(512, 3))).ok()) _exit(5);
+    if (in.stats().failures.load() != failures + 2) _exit(6);
+    if (in.stats().puts.load() != puts + 2) _exit(7);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
 
 }  // namespace
 }  // namespace tiera
