@@ -1,8 +1,9 @@
 // CI saturation gate for the event-driven request core.
 //
 // Drives a mixed PUT/GET load end-to-end (RemoteTieraClient -> epoll
-// reactor -> per-core shards -> instance -> group-committed journal) from
-// 1 and then 4 client threads, each on its own connection, with
+// reactor -> per-core shards for the synced PUTs, the loop itself for the
+// GETs -> instance -> group-committed journal) from
+// 1, 4 and then 8 client threads, each on its own connection, with
 // journal_sync on so every acknowledged write rides a group-commit fsync.
 // Asserts:
 //   - zero request errors at both concurrency levels (hard)
@@ -138,11 +139,21 @@ int main(int argc, char** argv) {
       counter_value("tiera_metadb_group_commit_records_total");
   const std::uint64_t fsyncs0 =
       counter_value("tiera_metadb_group_commit_fsyncs_total");
+  const std::uint64_t requests0 = counter_value("tiera_rpc_requests_total");
+  const std::uint64_t inline0 =
+      counter_value("tiera_rpc_inline_requests_total");
   const double qps8 = run_load(server.port(), 8, errors, &puts);
   const std::uint64_t records =
       counter_value("tiera_metadb_group_commit_records_total") - records0;
   const std::uint64_t fsyncs =
       counter_value("tiera_metadb_group_commit_fsyncs_total") - fsyncs0;
+  // Routing split of the same phase: requests a loop ran to completion
+  // (GETs: nothing in them waits on the synced journal) against those
+  // handed to a shard (the synced PUTs).
+  const std::uint64_t inlined =
+      counter_value("tiera_rpc_inline_requests_total") - inline0;
+  const std::uint64_t offloaded =
+      counter_value("tiera_rpc_requests_total") - requests0 - inlined;
   server.stop();
 
   const bool strict = []() {
@@ -198,6 +209,8 @@ int main(int argc, char** argv) {
   report += "journal_records: " + std::to_string(records) + "\n";
   report += "journal_fsyncs: " + std::to_string(fsyncs) + "\n";
   report += "acked_puts: " + std::to_string(puts) + "\n";
+  report += "inline_requests: " + std::to_string(inlined) + "\n";
+  report += "offloaded_requests: " + std::to_string(offloaded) + "\n";
   report += "records_per_put: " +
             std::to_string(puts ? static_cast<double>(records) /
                                       static_cast<double>(puts)

@@ -84,6 +84,7 @@ std::uint64_t ControlLayer::add_rule(Rule rule) {
   auto shared = std::make_shared<Rule>(std::move(rule));
   std::unique_lock lock(rules_mu_);
   rules_.push_back(shared);
+  count_foreground_get_rules_locked();
   metrics_.rules->set(static_cast<double>(rules_.size()));
   return shared->id;
 }
@@ -95,6 +96,7 @@ Status ControlLayer::remove_rule(std::uint64_t rule_id) {
       [rule_id](const auto& rule) { return rule->id == rule_id; });
   if (it == rules_.end()) return Status::NotFound("no such rule");
   rules_.erase(it);
+  count_foreground_get_rules_locked();
   metrics_.rules->set(static_cast<double>(rules_.size()));
   return Status::Ok();
 }
@@ -102,7 +104,20 @@ Status ControlLayer::remove_rule(std::uint64_t rule_id) {
 void ControlLayer::clear_rules() {
   std::unique_lock lock(rules_mu_);
   rules_.clear();
+  count_foreground_get_rules_locked();
   metrics_.rules->set(0);
+}
+
+void ControlLayer::count_foreground_get_rules_locked() {
+  foreground_get_rules_.store(
+      static_cast<std::size_t>(std::count_if(
+          rules_.begin(), rules_.end(),
+          [](const std::shared_ptr<Rule>& rule) {
+            return rule->event.kind == EventKind::kAction &&
+                   rule->event.action.action == ActionType::kGet &&
+                   !rule->event.background;
+          })),
+      std::memory_order_relaxed);
 }
 
 std::size_t ControlLayer::rule_count() const {

@@ -42,6 +42,11 @@ class ControlLayer {
   Status remove_rule(std::uint64_t rule_id);
   void clear_rules();
   std::size_t rule_count() const;
+  // True while some foreground rule fires on GET: such a rule can write,
+  // so a GET may then wait on the journal (TieraInstance::reads_may_wait).
+  bool has_foreground_get_rules() const {
+    return foreground_get_rules_.load(std::memory_order_relaxed) > 0;
+  }
 
   // --- Event entry points ----------------------------------------------------
   // Which action rules a dispatch pass considers. PUT runs two passes:
@@ -127,6 +132,8 @@ class ControlLayer {
   };
 
   void timer_loop();
+  // Recounts foreground GET rules after rules_ changed (rules_mu_ held).
+  void count_foreground_get_rules_locked();
   bool action_rule_matches(const Rule& rule, ActionType action,
                            const EventContext& ctx,
                            std::string_view tier) const;
@@ -139,6 +146,7 @@ class ControlLayer {
 
   mutable std::shared_mutex rules_mu_;
   std::vector<std::shared_ptr<Rule>> rules_;
+  std::atomic<std::size_t> foreground_get_rules_{0};
   FitGate fit_gate_;
   std::atomic<std::uint64_t> next_rule_id_{1};
 

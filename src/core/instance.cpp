@@ -308,7 +308,26 @@ Status TieraInstance::OpRecord::finish(Status status) {
 Status TieraInstance::put(std::string_view id, ByteView data,
                           const std::vector<std::string>& tags) {
   OpRecord op(*this, StageOp::kPut, id);
-  return op.finish(put_body(op, data, tags));
+  return op.finish(put_body(
+      op, std::make_shared<const Bytes>(data.begin(), data.end()), tags));
+}
+
+Status TieraInstance::put(std::string_view id,
+                          std::shared_ptr<const Bytes> data,
+                          const std::vector<std::string>& tags) {
+  OpRecord op(*this, StageOp::kPut, id);
+  return op.finish(put_body(op, std::move(data), tags));
+}
+
+bool TieraInstance::writes_may_wait() const {
+  return time_scale() > 0 ||
+         (config_.persist_metadata && config_.journal_sync);
+}
+
+bool TieraInstance::reads_may_wait() const {
+  return time_scale() > 0 ||
+         (config_.persist_metadata && config_.journal_sync &&
+          control_->has_foreground_get_rules());
 }
 
 Result<Bytes> TieraInstance::get(std::string_view id) {
@@ -321,7 +340,8 @@ Status TieraInstance::remove(std::string_view id) {
   return op.finish(remove_body(op));
 }
 
-Status TieraInstance::put_body(OpRecord& op, ByteView data,
+Status TieraInstance::put_body(OpRecord& op,
+                               std::shared_ptr<const Bytes> data,
                                const std::vector<std::string>& tags) {
   // Objects are immutable but may be overwritten. Overwrite happens in
   // place: the new bytes land under the same storage key, so concurrent
@@ -340,7 +360,7 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
   }
   if (old) {
     TIERA_RETURN_IF_ERROR(meta_.update_in_memory(op.id, [&](ObjectMeta& cur) {
-      cur.size = data.size();
+      cur.size = data->size();
       cur.dirty = true;
       cur.last_access = now();
       cur.compressed = false;
@@ -351,7 +371,7 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
   } else {
     ObjectMeta meta;
     meta.id = op.id;
-    meta.size = data.size();
+    meta.size = data->size();
     meta.dirty = true;
     meta.created = meta.last_access = now();
     meta.tags.insert(tags.begin(), tags.end());
@@ -361,7 +381,7 @@ Status TieraInstance::put_body(OpRecord& op, ByteView data,
   EventContext ctx;
   ctx.instance = this;
   ctx.object_id = op.id;
-  ctx.payload = std::make_shared<const Bytes>(data.begin(), data.end());
+  ctx.payload = std::move(data);
   if (old) ctx.overwrite_pending = std::make_shared<std::atomic<bool>>(true);
 
   {

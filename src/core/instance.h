@@ -119,8 +119,21 @@ class TieraInstance {
   // --- Application interface layer (PUT/GET API) ---------------------------
   Status put(std::string_view id, ByteView data,
              const std::vector<std::string>& tags = {});
+  // Same, adopting a buffer the caller already filled (the RPC front end
+  // decodes the payload straight into it), so the bytes are not copied
+  // again before placement.
+  Status put(std::string_view id, std::shared_ptr<const Bytes> data,
+             const std::vector<std::string>& tags = {});
   Result<Bytes> get(std::string_view id);
   Status remove(std::string_view id);
+
+  // Whether a request may wait on something other than the CPU: sleep a
+  // modelled tier delay (time_scale() > 0) or block on a group-commit
+  // fsync (any mutation under a synced journal; a read only when a
+  // foreground GET rule may write). The RPC front end runs requests that
+  // cannot wait to completion on the event loop that decoded them.
+  bool writes_may_wait() const;
+  bool reads_may_wait() const;
 
   bool contains(std::string_view id) const;
   Result<ObjectMeta> stat(std::string_view id) const;
@@ -248,7 +261,7 @@ class TieraInstance {
   // put/get/remove open one, run their body, and hand the body's outcome to
   // OpRecord::finish, the only code that feeds the per-op sinks.
   class OpRecord;
-  Status put_body(OpRecord& op, ByteView data,
+  Status put_body(OpRecord& op, std::shared_ptr<const Bytes> data,
                   const std::vector<std::string>& tags);
   Result<Bytes> get_body(OpRecord& op);
   Status remove_body(OpRecord& op);

@@ -46,9 +46,7 @@ Status AsyncRpcClient::call_async(std::uint8_t method, ByteView body,
     if (background_) wire_method |= kRpcBackgroundFlag;
     request.u8(wire_method);
     if (!tenant_.empty()) request.str(tenant_);
-    Bytes frame = request.take();
-    append(frame, body);
-    const Status sent = conn_->send_frame(as_view(frame));
+    const Status sent = conn_->send_frame(as_view(request.data()), body);
     if (!sent.ok()) {
       std::lock_guard lock(pending_mu_);
       pending_.erase(id);

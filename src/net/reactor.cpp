@@ -36,6 +36,24 @@ std::size_t default_parallelism() {
   return n == 0 ? 1 : n;
 }
 
+// One response frame, built in place: the length prefix is reserved up
+// front and patched once the payload is written, so the body is copied
+// once.
+Bytes response_frame(std::uint64_t request_id, const Status& status,
+                     ByteView body) {
+  WireWriter w;
+  w.reserve(4 + 8 + 1 + 4 + status.message().size() + 4 + body.size());
+  w.u32(0);  // length prefix, patched below
+  w.u64(request_id);
+  w.u8(static_cast<std::uint8_t>(status.code()));
+  w.str(status.message());
+  w.bytes(body);
+  Bytes frame = w.take();
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4);
+  std::memcpy(frame.data(), &len, 4);
+  return frame;
+}
+
 }  // namespace
 
 // Per-connection state. Owned by exactly one loop and touched only on that
@@ -297,6 +315,7 @@ class ReactorServer::Loop {
           destroy(conn);
           return false;
         }
+        if (!conn->wqueue.empty() && !flush_writes(conn)) return false;
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         if (!conn->reading) break;  // backpressure tripped mid-read
         continue;
@@ -324,6 +343,9 @@ class ReactorServer::Loop {
 
   // Peels complete frames off conn->rbuf. Returns false on a protocol
   // violation (oversized frame) — the caller destroys the connection.
+  // Responses produced on the loop (inline requests, rejections) are only
+  // queued: flush_writes() can destroy the connection, so the caller
+  // flushes once this returns and nothing holds the pointer mid-decode.
   bool decode_frames(ReactorConn* conn) {
     for (;;) {
       // Admission is gated by the in-flight cap, not just socket reads: a
@@ -357,12 +379,10 @@ class ReactorServer::Loop {
       server_.metrics_.errors->inc();
       return;  // malformed frame: drop it, keep the connection
     }
-    Request request;
-    request.loop = index_;
-    request.conn_id = conn->id;
-    std::memcpy(&request.request_id, frame.data(), 8);
+    std::uint64_t request_id;
+    std::memcpy(&request_id, frame.data(), 8);
     const std::uint8_t raw_method = frame[8];
-    request.method = raw_method & kRpcMethodMask;
+    const std::uint8_t method = raw_method & kRpcMethodMask;
     std::size_t body_off = 9;
     std::string_view tenant;
     if (raw_method & kRpcTenantFlag) {
@@ -372,7 +392,7 @@ class ReactorServer::Loop {
       // answer — a blocking caller must never hang on a dropped frame.
       if (frame.size() < body_off + 4) {
         server_.metrics_.errors->inc();
-        reject(conn, request.request_id,
+        reject(conn, request_id,
                Status::InvalidArgument("truncated tenant header"));
         return;
       }
@@ -380,7 +400,7 @@ class ReactorServer::Loop {
       std::memcpy(&tenant_len, frame.data() + body_off, 4);
       if (frame.size() - body_off - 4 < tenant_len) {
         server_.metrics_.errors->inc();
-        reject(conn, request.request_id,
+        reject(conn, request_id,
                Status::InvalidArgument("truncated tenant header"));
         return;
       }
@@ -391,46 +411,39 @@ class ReactorServer::Loop {
     }
     if (server_.admission_) {
       const Status verdict = server_.admission_(
-          request.method, tenant, (raw_method & kRpcBackgroundFlag) != 0);
+          method, tenant, (raw_method & kRpcBackgroundFlag) != 0);
       if (!verdict.ok()) {
-        reject(conn, request.request_id, verdict);
+        reject(conn, request_id, verdict);
         return;  // fast-fail: never dispatched, never counted in-flight
       }
     }
-    request.tenant.assign(tenant);
-    request.body.assign(frame.begin() + static_cast<long>(body_off),
-                        frame.end());
+    const ByteView body = frame.subspan(body_off);
+    const std::uint64_t key = server_.shard_key_
+                                  ? server_.shard_key_(method, body)
+                                  : conn->id;
+    if (key != kAdminKey && (key & kInlineBit) && conn->inflight == 0) {
+      // Run to completion here: the handler reads the body straight out of
+      // rbuf, and the response joins the write queue behind everything this
+      // connection was already answered.
+      server_.metrics_.inline_requests->inc();
+      conn->wqueue.push_back(server_.serve(request_id, method, tenant, body));
+      return;
+    }
     ++conn->inflight;
     ++inflight_;
     inflight_snapshot_.store(inflight_);
     publish_gauges();
     maybe_pause();
-    server_.dispatch(std::move(request));
+    server_.dispatch(key, Request{index_, conn->id, request_id, method,
+                                  std::string(tenant),
+                                  Bytes(body.begin(), body.end())});
   }
 
-  // Answers a shed request from the loop thread. The frame is queued and
-  // EPOLLOUT-subscribed rather than written inline: flush_writes() can
-  // destroy the connection, and our caller (decode_frames) still holds the
-  // pointer. The deferred flush happens on the next epoll iteration.
+  // Answers a shed or malformed request from the loop thread. The frame is
+  // only queued (see decode_frames); the decode pass's caller flushes it.
   void reject(ReactorConn* conn, std::uint64_t request_id,
               const Status& verdict) {
-    WireWriter response;
-    response.u64(request_id);
-    response.u8(static_cast<std::uint8_t>(verdict.code()));
-    response.str(verdict.message());
-    response.bytes({});
-    const Bytes& payload = response.data();
-    Bytes frame;
-    frame.reserve(4 + payload.size());
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    frame.insert(frame.end(), reinterpret_cast<const std::uint8_t*>(&len),
-                 reinterpret_cast<const std::uint8_t*>(&len) + 4);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    conn->wqueue.push_back(std::move(frame));
-    if (!conn->want_write) {
-      conn->want_write = true;
-      update_interest(conn);
-    }
+    conn->wqueue.push_back(response_frame(request_id, verdict, {}));
   }
 
   // --- write path ------------------------------------------------------
@@ -520,6 +533,7 @@ class ReactorServer::Loop {
         destroy(conn);
         continue;
       }
+      if (!conn->wqueue.empty() && !flush_writes(conn)) continue;
       if (conn->peer_eof && conn->inflight == 0 && conn->wqueue.empty()) {
         destroy(conn);
         continue;
@@ -566,6 +580,7 @@ ReactorServer::ReactorServer(std::uint16_t port, ReactorOptions options)
     : requested_port_(port), options_(options) {
   MetricsRegistry& reg = MetricsRegistry::global();
   metrics_.requests = &reg.counter("tiera_rpc_requests_total");
+  metrics_.inline_requests = &reg.counter("tiera_rpc_inline_requests_total");
   metrics_.errors = &reg.counter("tiera_rpc_errors_total");
   metrics_.backpressure_pauses =
       &reg.counter("tiera_rpc_backpressure_pauses_total");
@@ -734,59 +749,42 @@ std::uint64_t ReactorServer::backpressure_pauses() const {
   return total;
 }
 
-void ReactorServer::dispatch(Request request) {
-  const std::uint64_t key = shard_key_
-                                ? shard_key_(request.method, as_view(request.body))
-                                : request.conn_id;
+void ReactorServer::dispatch(std::uint64_t key, Request request) {
   ThreadPool* pool = (key == kAdminKey && admin_pool_)
                          ? admin_pool_.get()
-                         : shards_[key % shards_.size()].get();
+                         : shards_[(key & ~kInlineBit) % shards_.size()].get();
   auto shared = std::make_shared<Request>(std::move(request));
-  if (!pool->submit([this, shared] { execute(*shared); })) {
+  if (!pool->submit([this, shared] {
+        loops_[shared->loop]->post_response(
+            shared->conn_id,
+            serve(shared->request_id, shared->method, shared->tenant,
+                  as_view(shared->body)));
+      })) {
     // Pool is shutting down: the server is stopping and the loops will
     // close this connection anyway. The in-flight count dies with them.
   }
 }
 
-void ReactorServer::execute(const Request& request) {
+Bytes ReactorServer::serve(std::uint64_t request_id, std::uint8_t method,
+                           std::string_view tenant, ByteView body) {
   Stopwatch watch;
   // Publish the caller's tenant for the duration of the handler so the
   // flight recorder's op events carry it.
-  set_flight_tenant(request.tenant);
-  WireWriter response;
-  response.u64(request.request_id);
-  auto it = handlers_.find(request.method);
-  if (it == handlers_.end()) {
-    response.u8(static_cast<std::uint8_t>(StatusCode::kInvalidArgument));
-    response.str("unknown method");
-    response.bytes({});
-    metrics_.errors->inc();
-  } else {
-    Result<Bytes> result = it->second(as_view(request.body));
-    if (result.ok()) {
-      response.u8(static_cast<std::uint8_t>(StatusCode::kOk));
-      response.str("");
-      response.bytes(as_view(*result));
-    } else {
-      response.u8(static_cast<std::uint8_t>(result.status().code()));
-      response.str(result.status().message());
-      response.bytes({});
-      metrics_.errors->inc();
-    }
-  }
+  set_flight_tenant(tenant);
+  auto it = handlers_.find(method);
+  const Result<Bytes> result =
+      it == handlers_.end()
+          ? Result<Bytes>(Status::InvalidArgument("unknown method"))
+          : it->second(body);
   set_flight_tenant({});
+  if (!result.ok()) metrics_.errors->inc();
+  Bytes frame =
+      result.ok() ? response_frame(request_id, Status::Ok(), as_view(*result))
+                  : response_frame(request_id, result.status(), {});
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   metrics_.requests->inc();
   metrics_.request_latency->record(watch.elapsed());
-
-  const Bytes& payload = response.data();
-  Bytes frame;
-  frame.reserve(4 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  frame.insert(frame.end(), reinterpret_cast<const std::uint8_t*>(&len),
-               reinterpret_cast<const std::uint8_t*>(&len) + 4);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  loops_[request.loop]->post_response(request.conn_id, std::move(frame));
+  return frame;
 }
 
 }  // namespace tiera

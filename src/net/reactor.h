@@ -1,5 +1,6 @@
-// Event-driven RPC core: N epoll loops own the sockets, per-object worker
-// shards run the handlers.
+// Event-driven RPC core: N epoll loops own the sockets; a request that
+// cannot wait runs to completion on the loop that decoded it, and the rest
+// run on per-object worker shards.
 //
 // Wire format is unchanged from the blocking transport (net/tcp.h):
 // [u32 length][u64 request_id | u8 method | body] in,
@@ -11,21 +12,32 @@
 //     one loop (round-robin) and stays pinned to it for life, so its decode
 //     state machine — partial frames, write queue, in-flight count — is
 //     touched by exactly one thread and needs no locks.
-//   - shard threads ("rpc-shard-<i>"): handler execution. Requests hash by
-//     a caller-provided shard key (the object id for Tiera's data verbs) to
-//     a single-threaded worker, so one object's requests run FIFO on one
-//     core and the instance's striped object locks stop bouncing between
-//     cores. Handlers that block for a long time (profiler captures) can be
-//     routed to a separate admin pool by returning kAdminKey.
-//   - responses post back to the owning loop's mailbox (eventfd wakeup) and
-//     are written on the loop thread, with EPOLLOUT-driven retry when the
-//     client reads slowly.
+//   - inline execution: when the shard key carries kInlineBit (the request
+//     cannot sleep or block: no modelled delay, no fsync wait) and the
+//     connection has nothing pending on a shard, the loop runs the handler
+//     itself on a view into its read buffer and queues the response; the
+//     queue is flushed once the decode pass ends. No hand-off, no copy of
+//     the body. The in-flight condition keeps a pipelining client's
+//     responses in request order: an inline request never overtakes an
+//     earlier one from its own connection.
+//   - shard threads ("rpc-shard-<i>"): every other data request. Requests
+//     hash by the caller-provided shard key (the object id for Tiera's data
+//     verbs) to a single-threaded worker, so one object's requests run FIFO
+//     on one core and a request that waits (a group-commit fsync, a
+//     modelled tier delay) never stalls a loop. Handlers that block for a
+//     long time (profiler captures) can be routed to a separate admin pool
+//     by returning kAdminKey.
+//   - shard responses post back to the owning loop's mailbox (eventfd
+//     wakeup) and are written on the loop thread, with EPOLLOUT-driven
+//     retry when the client reads slowly.
 //
 // Backpressure: each loop caps decoded-but-unanswered requests
 // (max_inflight_per_loop). At the cap it unsubscribes EPOLLIN on every
 // connection it owns — the kernel socket buffers and TCP flow control push
 // back on clients — and resubscribes once in-flight work drains below half
 // the cap. tiera_rpc_backpressure_pauses_total counts the transitions.
+// Inline requests are answered before the loop reads on, so they never
+// count against the cap.
 //
 // Connection teardown is immediate: EOF (or a socket error) reaps the
 // connection on the loop thread as soon as its last response is flushed —
@@ -74,7 +86,12 @@ inline constexpr std::uint8_t kRpcMethodMask = 0x3f;
 // Maps a decoded request to an execution shard before the body is parsed.
 // Runs on the loop thread, so it must stay cheap (Tiera's extracts the
 // leading object-id string and hashes it). Return kAdminKey to run the
-// request on the admin pool instead of a shard.
+// request on the admin pool instead of a shard. Set
+// ReactorServer::kInlineBit on a key when the handler cannot wait (sleep or
+// block on I/O another thread completes): the loop then runs it inline
+// whenever the connection has nothing pending on a shard. Keys are compared
+// with the bit cleared, so the same object maps to the same shard either
+// way.
 using ShardKeyFn =
     std::function<std::uint64_t(std::uint8_t method, ByteView body)>;
 
@@ -92,6 +109,8 @@ class ReactorServer {
   // instead of a shard — for slow administrative verbs (e.g. a blocking
   // profiler capture) that must not stall an execution shard.
   static constexpr std::uint64_t kAdminKey = ~0ull;
+  // Shard-key flag: the request may run inline on its loop (see ShardKeyFn).
+  static constexpr std::uint64_t kInlineBit = 1ull << 63;
 
   ReactorServer(std::uint16_t port, ReactorOptions options = {});
   ~ReactorServer();
@@ -137,23 +156,28 @@ class ReactorServer {
   class Loop;
   friend class Loop;
 
+  // A request bound for a shard. It owns copies of its tenant and body:
+  // the loop's read buffer moves on while it waits in the queue.
   struct Request {
     std::size_t loop;
     std::uint64_t conn_id;
     std::uint64_t request_id;
     std::uint8_t method;
-    // Tenant header value (empty when absent); execute() publishes it as
-    // the flight-recorder tenant context around the handler. Usually short
+    // Tenant header value (empty when absent); serve() publishes it as the
+    // flight-recorder tenant context around the handler. Usually short
     // enough for SSO, so no extra allocation on the hot path.
     std::string tenant;
     Bytes body;
   };
 
-  // Called from loop threads: route a decoded request to its shard.
-  void dispatch(Request request);
-  // Runs on a shard/admin thread: execute the handler, post the response
-  // frame back to the owning loop.
-  void execute(const Request& request);
+  // Called from loop threads: hand a decoded request to the pool `key`
+  // names.
+  void dispatch(std::uint64_t key, Request request);
+  // Runs the handler and returns the framed response. Called on a
+  // shard/admin thread for dispatched requests, and on the loop thread for
+  // inline ones.
+  Bytes serve(std::uint64_t request_id, std::uint8_t method,
+              std::string_view tenant, ByteView body);
 
   const std::uint16_t requested_port_;
   const ReactorOptions options_;
@@ -180,6 +204,7 @@ class ReactorServer {
   // Registry series (`tiera_rpc_*`).
   struct Metrics {
     Counter* requests;
+    Counter* inline_requests;
     Counter* errors;
     Counter* backpressure_pauses;
     Gauge* connections;

@@ -45,9 +45,7 @@ Result<Bytes> RpcClient::call(std::uint8_t method, ByteView body) {
   if (background_) wire_method |= kRpcBackgroundFlag;
   request.u8(wire_method);
   if (!tenant_.empty()) request.str(tenant_);
-  Bytes frame = request.take();
-  append(frame, body);
-  TIERA_RETURN_IF_ERROR(conn_->send_frame(as_view(frame)));
+  TIERA_RETURN_IF_ERROR(conn_->send_frame(as_view(request.data()), body));
   Result<Bytes> reply = conn_->recv_frame();
   if (!reply.ok()) return reply.status();
   WireReader reader(as_view(*reply));

@@ -4,9 +4,11 @@
 // Response frame: u64 request_id | u8 status  | string message | body
 //
 // The server side is the epoll reactor in net/reactor.h: N event loops own
-// the sockets and per-core shard workers run the handlers. RpcServer is a
-// thin alias that maps the historical (port, request_threads) signature onto
-// ReactorOptions — request_threads becomes the shard count.
+// the sockets and run the requests that cannot wait (the shard key says
+// which); per-core shard workers run the rest. RpcServer is a thin alias
+// that maps the historical (port, request_threads) signature onto
+// ReactorOptions — request_threads becomes the shard count. Without a shard
+// key every request runs on a shard.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,15 +19,27 @@ Status errno_status(const char* op) {
                           std::strerror(errno));
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+// Writes every byte of iov[0, count), resuming after short writes.
+bool send_all(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    data += n;
-    len -= static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
 }
@@ -83,17 +96,21 @@ Result<std::unique_ptr<TcpConnection>> TcpConnection::connect(
   return std::make_unique<TcpConnection>(fd);
 }
 
-Status TcpConnection::send_frame(ByteView payload) {
+Status TcpConnection::send_frame(ByteView head, ByteView tail) {
   const int fd = fd_.load(std::memory_order_acquire);
   if (fd < 0 || closed()) return Status::Unavailable("connection closed");
-  if (payload.size() > kMaxFrame) {
+  const std::size_t size = head.size() + tail.size();
+  if (size > kMaxFrame) {
     return Status::InvalidArgument("frame too large");
   }
   std::uint8_t header[4];
-  const auto n = static_cast<std::uint32_t>(payload.size());
+  const auto n = static_cast<std::uint32_t>(size);
   std::memcpy(header, &n, 4);
-  if (!send_all(fd, header, 4) ||
-      !send_all(fd, payload.data(), payload.size())) {
+  iovec iov[3] = {
+      {header, 4},
+      {const_cast<std::uint8_t*>(head.data()), head.size()},
+      {const_cast<std::uint8_t*>(tail.data()), tail.size()}};
+  if (!send_all(fd, iov, 3)) {
     // Error paths only half-close: another thread may still be blocked in
     // recv_frame() on this fd, and releasing the number under it would let
     // the kernel recycle it. The destructor (or the owner) closes for real.

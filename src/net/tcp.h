@@ -30,7 +30,12 @@ class TcpConnection {
   static Result<std::unique_ptr<TcpConnection>> connect(
       const std::string& host, std::uint16_t port);
 
-  Status send_frame(ByteView payload);
+  // Sends one frame whose payload is `head` followed by `tail`, length
+  // prefix included, in one sendmsg() call (more only on a short write):
+  // under TCP_NODELAY a separate header write would go out as its own
+  // segment and could wake the peer for 4 bytes. The split lets RPC
+  // clients send their request header and body without joining them.
+  Status send_frame(ByteView head, ByteView tail = {});
   // Blocks until a full frame arrives. kUnavailable on clean peer close.
   Result<Bytes> recv_frame();
 

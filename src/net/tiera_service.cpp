@@ -32,29 +32,38 @@ Status read_string_list(WireReader& r, std::vector<std::string>& items) {
   return Status::Ok();
 }
 
-// Routes each request to an execution shard before the body is fully
-// parsed. Data verbs carry the object id as the leading wire string, so the
-// same object always lands on the same single-threaded shard (its requests
-// run FIFO on one core and never contend on the instance's striped object
-// locks). Everything else — stats, traces, and especially the blocking
-// kProfile capture — goes to the admin pool so it cannot stall a shard.
-std::uint64_t tiera_shard_key(std::uint8_t method, ByteView body) {
+// Routes each request before the body is fully parsed. Data verbs carry the
+// object id as the leading wire string, so the same object always lands on
+// the same single-threaded shard (its requests run FIFO on one core and
+// never contend on the instance's striped object locks). A data verb that
+// cannot wait — no modelled delay to sleep, no group-commit fsync to block
+// on — also carries kInlineBit, so its loop may run it without a hand-off.
+// Everything else — stats, traces, and especially the blocking kProfile
+// capture — goes to the admin pool so it cannot stall a shard or a loop.
+std::uint64_t tiera_shard_key(const TieraInstance& instance,
+                              std::uint8_t method, ByteView body) {
+  bool may_wait = false;
   switch (static_cast<TieraMethod>(method)) {
     case TieraMethod::kPut:
-    case TieraMethod::kGet:
     case TieraMethod::kRemove:
+    case TieraMethod::kAddTags:
+      may_wait = instance.writes_may_wait();
+      break;
+    case TieraMethod::kGet:
     case TieraMethod::kStat:
-    case TieraMethod::kAddTags: {
-      if (body.size() < 4) return ReactorServer::kAdminKey;  // malformed
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i) len |= std::uint32_t(body[i]) << (8 * i);
-      if (body.size() - 4 < len) return ReactorServer::kAdminKey;
-      // Clear the top bit so a hash can never collide with kAdminKey.
-      return fnv1a64(ByteView(body.data() + 4, len)) & 0x7fffffffffffffffull;
-    }
+      may_wait = instance.reads_may_wait();
+      break;
     default:
       return ReactorServer::kAdminKey;
   }
+  if (body.size() < 4) return ReactorServer::kAdminKey;  // malformed
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= std::uint32_t(body[i]) << (8 * i);
+  if (body.size() - 4 < len) return ReactorServer::kAdminKey;
+  // The hash keeps the top bit clear, so it never collides with kAdminKey.
+  const std::uint64_t hash =
+      fnv1a64(ByteView(body.data() + 4, len)) & ~ReactorServer::kInlineBit;
+  return may_wait ? hash : hash | ReactorServer::kInlineBit;
 }
 
 // Maps a wire method to its rung on the admission ladder. Data verbs carry
@@ -78,15 +87,14 @@ RequestPriority tiera_priority(std::uint8_t method, bool background) {
 
 TieraServer::TieraServer(TieraInstance& instance, std::uint16_t port,
                          std::size_t request_threads)
-    : instance_(instance), server_(port, request_threads) {
-  server_.set_shard_key(tiera_shard_key);
-  register_handlers();
-}
+    : TieraServer(instance, port, ReactorOptions{.shards = request_threads}) {}
 
 TieraServer::TieraServer(TieraInstance& instance, std::uint16_t port,
                          ReactorOptions options)
     : instance_(instance), server_(port, options) {
-  server_.set_shard_key(tiera_shard_key);
+  server_.set_shard_key([this](std::uint8_t method, ByteView body) {
+    return tiera_shard_key(instance_, method, body);
+  });
   register_handlers();
 }
 
@@ -198,17 +206,19 @@ void TieraServer::register_handlers() {
         // instance-level scope inside put() is inert, so rpc.decode and the
         // engine stages land in the same per-op rows.
         OpStageScope stage_scope(StageOp::kPut);
+        // The payload is decoded once, straight into the buffer the
+        // instance's placement shares with every store it makes.
         WireReader r(body);
         std::string id;
-        Bytes data;
+        auto data = std::make_shared<Bytes>();
         std::vector<std::string> tags;
         {
           StageTimer decode_stage(Stage::kRpcDecode);
           TIERA_RETURN_IF_ERROR(r.str(id));
-          TIERA_RETURN_IF_ERROR(r.bytes(data));
+          TIERA_RETURN_IF_ERROR(r.bytes(*data));
           TIERA_RETURN_IF_ERROR(read_string_list(r, tags));
         }
-        TIERA_RETURN_IF_ERROR(instance_.put(id, as_view(data), tags));
+        TIERA_RETURN_IF_ERROR(instance_.put(id, std::move(data), tags));
         return Bytes{};
       });
 

@@ -29,6 +29,7 @@ class WireWriter {
     append(buffer_, b);
   }
 
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   const Bytes& data() const { return buffer_; }
   Bytes take() { return std::move(buffer_); }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -301,30 +304,75 @@ TEST(BlockTierTest, PageCacheEvictsByCapacity) {
 }
 
 
+// Counts the writes in service at once. A write holds its I/O slot until a
+// second write is in service beside it; once both writers are running, it
+// gives the other `grace` more to join before it leaves. So an unbounded
+// tier always reaches two in service, and a one-slot tier never does.
+class ServiceCountingTier : public MemTier {
+ public:
+  using MemTier::MemTier;
+
+  void writer_started() {
+    std::lock_guard lock(mu_);
+    ++writers_;
+    cv_.notify_all();
+  }
+  int peak() const {
+    std::lock_guard lock(mu_);
+    return peak_;
+  }
+  void reset() {
+    std::lock_guard lock(mu_);
+    peak_ = 0;
+    writers_ = 0;
+  }
+
+ protected:
+  Duration sample_write_delay(std::string_view, std::uint64_t,
+                              Rng&) override {
+    constexpr auto kGrace = std::chrono::milliseconds(100);
+    std::unique_lock lock(mu_);
+    peak_ = std::max(peak_, ++in_service_);
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(30),
+                 [&] { return in_service_ >= 2 || writers_ >= 2; });
+    cv_.wait_for(lock, kGrace, [&] { return in_service_ >= 2; });
+    --in_service_;
+    cv_.notify_all();
+    return Duration::zero();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int in_service_ = 0;
+  int peak_ = 0;
+  int writers_ = 0;
+};
+
 TEST(IoSlotsTest, BoundedConcurrencyQueues) {
-  testing::ZeroLatencyScope scale(1.0);
-  MemTier tier("m", 1 << 20);
+  ZeroLatencyScope zero;
+  ServiceCountingTier tier("m", 1 << 20);
+  const auto two_writers = [&] {
+    tier.reset();
+    std::thread a([&] {
+      tier.writer_started();
+      EXPECT_TRUE(tier.put("a", as_view(make_payload(64, 1))).ok());
+    });
+    std::thread b([&] {
+      tier.writer_started();
+      EXPECT_TRUE(tier.put("b", as_view(make_payload(64, 2))).ok());
+    });
+    a.join();
+    b.join();
+    return tier.peak();
+  };
   tier.set_io_slots(1);
   EXPECT_EQ(tier.io_slots(), 1u);
-  // Two concurrent 20ms operations must serialise: total >= ~40ms.
-  ASSERT_TRUE(tier.put("warm", as_view(make_payload(8, 1))).ok());
-  Stopwatch watch;
-  std::thread a([&] {
-    // Large payloads so per-MB cost dominates: ~8ms/MB * 2MB = 16ms each.
-    (void)tier.put("a", as_view(make_payload(2 << 20, 2)));
-  });
-  std::thread b([&] { (void)tier.put("b", as_view(make_payload(2 << 20, 3))); });
-  a.join();
-  b.join();
-  const double serialized = watch.elapsed_ms();
+  // One slot: the second write queues until the first leaves service.
+  EXPECT_EQ(two_writers(), 1);
   tier.set_io_slots(0);  // unlimited
-  Stopwatch watch2;
-  std::thread c([&] { (void)tier.put("c", as_view(make_payload(2 << 20, 4))); });
-  std::thread d([&] { (void)tier.put("d", as_view(make_payload(2 << 20, 5))); });
-  c.join();
-  d.join();
-  const double parallel = watch2.elapsed_ms();
-  EXPECT_GT(serialized, parallel * 1.2);
+  EXPECT_EQ(two_writers(), 2);
 }
 
 TEST(TierKindNamesTest, ToString) {

@@ -23,7 +23,7 @@ build_dir="${repo_root}/build-tsan"
 # under TSan's ~10x slowdown on small machines — timing, not races. The gate
 # skips them; their concurrency surface stays covered by obs_slo_test and
 # the core concurrency suites.
-filter=(-R '^(obs_|core_|common_)|^(net_reactor_test|net_rpc_test|net_incident_integration_test|metadb_group_commit_test|metadb_metadb_test|store_segment_log_test|store_tier_test)$' -E '^(core_templates_test|core_slo_integration_test)$')
+filter=(-R '^(obs_|core_|common_)|^(net_reactor_test|net_inline_routing_test|net_rpc_test|net_incident_integration_test|metadb_group_commit_test|metadb_metadb_test|store_segment_log_test|store_tier_test)$' -E '^(core_templates_test|core_slo_integration_test)$')
 if [[ $# -gt 0 ]]; then
   filter=("$@")
 fi
